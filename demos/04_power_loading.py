@@ -54,9 +54,8 @@ def main():
         assignment.rb_of_pair.tolist())))
 
     res = power_loading(assignment, gains, tables, smap, cfg, kind)
-    print("solver status %s after %d dual iterations, stationarity "
-          "residual %.1e" % (res.status.value, res.iterations_used,
-                             res.kkt_residual))
+    print("solver status %s after %d dual iterations, KKT residual %.1e"
+          % (res.status.value, res.iterations_used, res.kkt_residual))
 
     cap = cfg.max_tx_power_w
     print("\nper-pair power use (cap %.0f mW):" % (cap * 1e3))

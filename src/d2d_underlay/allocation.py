@@ -17,10 +17,13 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment, minimize
 
 from . import interference as itf
+from .geometry import atomic_write
 from .waveform import WaveformType
 
 KKT_TOLERANCE = 1e-6
-MAX_DUAL_ITERATIONS = 10_000
+MAX_DUAL_ITERATIONS = 10_000     # L-BFGS-B iteration cap
+MAX_NEWTON_STEPS = 20
+MAX_BACKTRACKS = 30
 
 
 class InfeasibleAssignmentError(ValueError):
@@ -53,6 +56,9 @@ class Assignment:
 
 @dataclass
 class PowerLoadingResult:
+    """Solved powers and duals.  ``iterations_used`` counts the L-BFGS-B
+    iterations plus the projected-Newton steps that followed them."""
+
     powers: itf.PowerAllocation
     dual_cu: np.ndarray
     dual_cap: np.ndarray
@@ -102,22 +108,23 @@ def cu_constraint_coefficients(gains, tables, smap, cu_powers, config, d2d_kind)
     return c, thresholds
 
 
-def _water_fill(duals, chat, g, num_cu, shape):
-    lam, mu = duals[:num_cu], duals[num_cu:]
-    w = np.einsum("i,ijm->jm", lam, chat) + mu[:, None]
+def _water_fill(z, a, g):
+    """Lagrangian maximizer x = clip(1/w - 1/g, 0, 1) at duals z, w = z A."""
+    w = z @ a
     with np.errstate(divide="ignore"):
         x = 1.0 / np.maximum(w, 1e-300) - 1.0 / g
-    return np.clip(x, 0.0, 1.0)
+    return w, np.clip(x, 0.0, 1.0)
 
 
 def power_loading(assignment, gains, tables, smap, config, d2d_kind):
     """Solve the simplified power-loading problem for one snapshot.
 
     Works on normalized powers x = P / P_max with the CU constraints rescaled
-    to sum <= 1, so duals live on comparable scales.  The Lagrangian dual is
-    minimized with L-BFGS-B (the inner water-filling solution makes objective
-    and subgradient cheap), then the primal is rescaled into strict
-    feasibility and the KKT residual reported in normalized units.
+    to sum <= 1, so duals live on comparable scales.  The constraints are the
+    rows of one matrix A (CU rows, then a cap row per pair); the dual
+    D(z) = sum log(1 + g x) + z (1 - A x) at the water-filled x is minimized
+    over z >= 0 by L-BFGS-B, then by projected-Newton steps, which also score
+    the KKT residual and rescale the primal into strict feasibility.
     """
     smap = smap.with_assignment(assignment.rb_of_pair)
     num_pairs = len(assignment.rb_of_pair)
@@ -136,95 +143,76 @@ def power_loading(assignment, gains, tables, smap, config, d2d_kind):
 
     # normalized constraint matrix; a zero threshold leaves no headroom at all
     t_safe = np.maximum(thresholds, 1e-300)
-    chat = c * p_max / t_safe[:, None, None]
+    num_cu = len(thresholds)
+    chat = c.reshape(num_cu, -1) * p_max / t_safe[:, None]
+    a = np.vstack([chat, np.kron(np.eye(num_pairs), np.ones(s))])
     i_cu = itf.i_cu_matrix(gains, zero, tables[(WaveformType.OFDM, d2d_kind)],
                            smap)
-    g = p_max * gains.h_self[:, None] / (config.noise_per_subcarrier_w + i_cu)
-    num_cu = len(thresholds)
+    g = (p_max * gains.h_self[:, None]
+         / (config.noise_per_subcarrier_w + i_cu)).ravel()
 
     def dual(z):
-        x = _water_fill(z, chat, g, num_cu, (num_pairs, s))
-        slack_cu = 1.0 - np.einsum("ijm,jm->i", chat, x)
-        slack_cap = 1.0 - x.sum(axis=1)
-        val = (np.log1p(g * x).sum() + z[:num_cu] @ slack_cu
-               + z[num_cu:] @ slack_cap)
-        return val, np.concatenate([slack_cu, slack_cap])
+        _, x = _water_fill(z, a, g)
+        slack = 1.0 - a @ x
+        return np.log1p(g * x).sum() + z @ slack, slack
 
-    bounds = [(0.0, None)] * (num_cu + num_pairs)
-    z0 = np.zeros(num_cu + num_pairs)
-    iters = 0
-    best = None
-    for attempt in range(4):
-        res = minimize(dual, z0, jac=True, method="L-BFGS-B", bounds=bounds,
-                       options=dict(maxiter=MAX_DUAL_ITERATIONS - iters,
-                                    ftol=1e-18, gtol=1e-14))
-        iters += max(int(res.nit), 1)
-        kkt, x, lam, mu = _primal_kkt(res.x, chat, g, num_cu, num_pairs, s)
-        if best is None or kkt < best[0]:
-            best = (kkt, x, lam, mu)
-        # aim an order of magnitude below tolerance for margin
-        if best[0] < 0.1 * KKT_TOLERANCE or iters >= MAX_DUAL_ITERATIONS:
-            break
-        # root-polish the active set: drive the tight slacks to zero exactly
-        z = _polish_active(res.x, dual)
-        if z is not None:
-            iters += 1
-            kkt, x, lam, mu = _primal_kkt(z, chat, g, num_cu, num_pairs, s)
-            if kkt < best[0]:
-                best = (kkt, x, lam, mu)
-            if best[0] < 0.1 * KKT_TOLERANCE:
-                break
-        # restart from the polished point; a tiny nudge escapes flat spots
-        z0 = res.x * (1.0 + 1e-3) + 1e-12
-    kkt, x, lam, mu = best
+    res = minimize(dual, np.zeros(len(a)), jac=True, method="L-BFGS-B",
+                   bounds=[(0.0, None)] * len(a),
+                   options=dict(maxiter=MAX_DUAL_ITERATIONS, ftol=1e-12,
+                                gtol=1e-6))
+    z, x, kkt, steps = _projected_newton(res.x, a, g)
     status = (SolverStatus.OPTIMAL if kkt < KKT_TOLERANCE
               else SolverStatus.MAX_ITER)
-    powers = itf.PowerAllocation(p_d2d=x * p_max, p_cu=cu_powers)
-    return PowerLoadingResult(powers=powers.validate(p_max), dual_cu=lam,
-                              dual_cap=mu, kkt_residual=float(kkt),
-                              iterations_used=iters, status=status)
+    powers = itf.PowerAllocation(p_d2d=x.reshape(num_pairs, s) * p_max,
+                                 p_cu=cu_powers)
+    return PowerLoadingResult(powers=powers.validate(p_max),
+                              dual_cu=z[:num_cu], dual_cap=z[num_cu:],
+                              kkt_residual=kkt,
+                              iterations_used=int(res.nit) + steps,
+                              status=status)
 
 
-def _polish_active(z, dual, threshold=1e-9):
-    """Solve slack = 0 over the constraints with positive duals.
+def _projected_newton(z, a, g):
+    """At most MAX_NEWTON_STEPS projected-Newton steps on min D(z), z >= 0
+    (Bertsekas, SIAM J. Control Optim. 1982).
 
-    L-BFGS-B leaves tiny slacks on active constraints; a few Newton steps on
-    the active subsystem remove the complementary-slackness residual.
+    Duals within epsilon of 0 with a positive gradient stay at the bound; the
+    rest take a Newton step with the Hessian A_F diag(1/w_F^2) A_F^T over the
+    subcarriers F inside (0, 1), backtracked (Armijo) along the projection
+    arc.  Stops at a KKT residual of 0.1 KKT_TOLERANCE, or when a line search
+    makes no progress.  The KKT residual is the larger of the water-filled
+    primal's overload max(A x) - 1, before it is rescaled into feasibility,
+    and the complementary slackness max |z (1 - A x)| after.  Returns the
+    duals, the rescaled primal, the KKT residual and the steps taken.
     """
-    from scipy.optimize import root
-
-    active = z > threshold
-    if not np.any(active):
-        return None
-
-    def f(za):
-        full = z.copy()
-        full[active] = np.maximum(za, 0.0)
-        _, slacks = dual(full)
-        return slacks[active]
-
-    sol = root(f, z[active], method="hybr", options=dict(xtol=1e-14))
-    if not np.all(np.isfinite(sol.x)):
-        return None
-    out = z.copy()
-    out[active] = np.maximum(sol.x, 0.0)
-    return out
-
-
-def _primal_kkt(z, chat, g, num_cu, num_pairs, s):
-    """Recover the primal from duals, rescale into feasibility, score KKT."""
-    x = _water_fill(z, chat, g, num_cu, (num_pairs, s))
-    over = max(np.einsum("ijm,jm->i", chat, x).max(initial=0.0),
-               x.sum(axis=1).max(initial=0.0))
-    if over > 1.0:
-        x = x / over
-    slack_cu = 1.0 - np.einsum("ijm,jm->i", chat, x)
-    slack_cap = 1.0 - x.sum(axis=1)
-    lam, mu = z[:num_cu], z[num_cu:]
-    kkt = max(-slack_cu.min(initial=0.0), -slack_cap.min(initial=0.0), 0.0,
-              np.abs(lam * slack_cu).max(initial=0.0),
-              np.abs(mu * slack_cap).max(initial=0.0))
-    return float(kkt), x, lam, mu
+    w, x = _water_fill(z, a, g)
+    for step in range(MAX_NEWTON_STEPS + 1):
+        load = a @ x
+        over = max(load.max(initial=0.0), 1.0)
+        kkt = max(over - 1.0, np.abs(z * (1.0 - load / over)).max(initial=0.0))
+        if kkt < 0.1 * KKT_TOLERANCE or step == MAX_NEWTON_STEPS:
+            break
+        grad = 1.0 - load
+        eps = min(1e-6, np.linalg.norm(z - np.maximum(z - grad, 0.0)))
+        free = (z > eps) | (grad <= 0)
+        inside = (x > 0) & (x < 1)
+        af = a[free][:, inside]
+        d = -grad
+        d[free] = np.linalg.lstsq((af / w[inside] ** 2) @ af.T, d[free],
+                                  rcond=None)[0]
+        for alpha in 0.5 ** np.arange(MAX_BACKTRACKS):
+            trial = np.maximum(z + alpha * d, 0.0)
+            trial_w, trial_x = _water_fill(trial, a, g)
+            # D(trial) - D(z) = grad (trial - z) + curvature, with the
+            # curvature summed per subcarrier: exact where D's rounding is not
+            dx = trial_x - x
+            curvature = (np.log1p(g * dx / (1.0 + g * x)) - trial_w * dx).sum()
+            if curvature <= (1e-4 - 1.0) * (grad @ (trial - z)):
+                break
+        else:
+            break
+        z, w, x = trial, trial_w, trial_x
+    return z, x / over, float(kkt), step
 
 
 def loading_objective(powers, gains, tables, smap, config, d2d_kind):
@@ -250,8 +238,7 @@ def result_to_json(assignment, result, path):
         "iterations_used": result.iterations_used,
         "status": result.status.value,
     }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1)
+    atomic_write(path, json.dumps(doc, indent=1))
 
 
 def result_from_json(path):

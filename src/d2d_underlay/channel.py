@@ -9,6 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .geometry import atomic_write
+
 BS_HEIGHT = 10.0        # m
 MIN_DISTANCE = 3.0      # m; shorter links are clamped (model extrapolation)
 
@@ -111,5 +113,4 @@ def gains_to_csv(gains, path):
             rows.append("d2d_d2d,%d,%d,%.9g,%d"
                         % (j, d, 10 * np.log10(gains.h_d2d_d2d[j, d]),
                            gains.los_d2d_d2d[j, d]))
-    with open(path, "w") as fh:
-        fh.write("\n".join(rows) + "\n")
+    atomic_write(path, "\n".join(rows) + "\n")

@@ -181,6 +181,8 @@ def main(argv=None):
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "jobs", 0) < 0:
+            raise UsageError("--jobs must be >= 0, got %d" % args.jobs)
     except UsageError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE

@@ -1,6 +1,8 @@
 """Monte Carlo topologies: cell, cellular users and clustered D2D pairs."""
 from __future__ import annotations
 
+import os
+import tempfile
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 
@@ -138,13 +140,16 @@ def _draw_rx(rng, tx, max_link, cell_radius, all_tx):
         if np.min(np.linalg.norm(all_tx - rx, axis=1)) < MIN_LINK_DISTANCE:
             continue
         return rx
-    # fall back to the last in-cell candidate; the channel clamps distances
-    while True:
+    # fall back to any in-cell candidate; the channel clamps distances
+    for _ in range(_MAX_RESAMPLE):
         phi = rng.uniform(0.0, 2.0 * np.pi)
         d = rng.uniform(0.0, max_link)
         rx = tx + d * np.array([np.cos(phi), np.sin(phi)])
         if np.linalg.norm(rx) <= cell_radius:
             return rx
+    raise ConfigurationError(
+        "no receiver within %.1f m of the transmitter at (%.1f, %.1f) m lies "
+        "in the cell after %d draws" % (max_link, tx[0], tx[1], _MAX_RESAMPLE))
 
 
 def _cluster_radius(config, rng):
@@ -248,8 +253,7 @@ def save_config(config, path):
         if isinstance(val, Layout):
             val = val.value
         lines.append("%s = %s" % (f.name, val))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    atomic_write(path, "\n".join(lines) + "\n")
 
 
 def with_updates(config, **changes):
@@ -265,5 +269,19 @@ def placement_to_csv(placement, path):
                       ("d2d_rx", placement.d2d_rx_pos)):
         for i, (x, y) in enumerate(arr):
             rows.append("%s,%d,%.9g,%.9g" % (name, i, x, y))
-    with open(path, "w") as fh:
-        fh.write("\n".join(rows) + "\n")
+    atomic_write(path, "\n".join(rows) + "\n")
+
+
+def atomic_write(path, text):
+    """Write text to a temporary file beside ``path``, then rename it over
+    ``path``; on any failure the old file is left as it was."""
+    d = os.path.dirname(os.path.abspath(path))
+    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise

@@ -7,8 +7,6 @@ waveform comparison.
 """
 from __future__ import annotations
 
-import os
-import tempfile
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -18,7 +16,7 @@ from . import allocation as al
 from . import channel as ch
 from . import geometry as geo
 from . import interference as itf
-from .geometry import ConfigurationError
+from .geometry import ConfigurationError, atomic_write
 from .waveform import WaveformType
 
 CDF_GRID_POINTS = 200
@@ -134,10 +132,12 @@ def run_campaign(config, tables, seed=None, jobs=0):
     ``jobs > 1`` distributes iterations over worker processes; each iteration
     owns a spawned seed stream, so the report is identical for any degree.
     """
+    if jobs < 0:
+        raise ValueError("jobs must be >= 0, got %d" % jobs)
     seed = config.seed if seed is None else seed
     streams = np.random.SeedSequence(seed).spawn(config.iterations)
     results = []
-    if jobs and jobs > 1:
+    if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             batches = pool.map(run_iteration, [config] * len(streams),
@@ -191,6 +191,8 @@ def sweep(config, parameter, values, tables, jobs=0):
     for idx, value in enumerate(values):
         try:
             if parameter is SweepParameter.NUM_PAIRS:
+                if not float(value).is_integer():
+                    raise ConfigurationError("num_pairs must be an integer")
                 cfg = geo.with_updates(config, num_d2d_pairs=int(value))
             elif parameter is SweepParameter.CLUSTER_RADIUS:
                 cfg = geo.with_updates(config, cluster_radius_fixed=float(value))
@@ -211,19 +213,6 @@ def sweep(config, parameter, values, tables, jobs=0):
 # output files (decimal text, 9 significant digits, atomic writes)
 # ---------------------------------------------------------------------------
 
-def _atomic_write(path, text):
-    d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def write_samples_csv(report, path):
     rows = ["iteration,case,rate_predicted,rate_actual,feasible,"
             "cluster_radius,cluster_distance,num_pairs"]
@@ -232,7 +221,7 @@ def write_samples_csv(report, path):
                     % (it, r.case.value, r.rate_predicted, r.rate_actual,
                        r.feasible, r.cluster_radius, r.cluster_distance,
                        r.num_pairs))
-    _atomic_write(path, "\n".join(rows) + "\n")
+    atomic_write(path, "\n".join(rows) + "\n")
 
 
 def write_cdf_csv(report, path):
@@ -242,7 +231,7 @@ def write_cdf_csv(report, path):
     for i, x in enumerate(report.cdf_grid):
         vals = ",".join("%.9g" % report.cdf[key][i] for key in cols)
         rows.append("%.9g,%s" % (x, vals))
-    _atomic_write(path, "\n".join(rows) + "\n")
+    atomic_write(path, "\n".join(rows) + "\n")
 
 
 def write_sweep_csv(parameter, points, path):
@@ -254,7 +243,7 @@ def write_sweep_csv(parameter, points, path):
         vals = ",".join("%.9g" % report.summary[(c, v, "mean")]
                         for c in Case for v in ("actual", "predicted"))
         rows.append("%.9g,%s" % (value, vals))
-    _atomic_write(path, "\n".join(rows) + "\n")
+    atomic_write(path, "\n".join(rows) + "\n")
 
 
 def write_gnuplot_cdf(path, cdf_csv="cdf.csv"):
@@ -272,7 +261,7 @@ def write_gnuplot_cdf(path, cdf_csv="cdf.csv"):
         plots.append("  '%s' using 1:%d with lines title '%s %s'"
                      % (cdf_csv, i + 2, c.value, v))
     lines.append(", \\\n".join(plots))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    atomic_write(path, "\n".join(lines) + "\n")
 
 
 def write_gnuplot_sweep(parameter, path, sweep_csv="sweep.csv"):
@@ -290,4 +279,4 @@ def write_gnuplot_sweep(parameter, path, sweep_csv="sweep.csv"):
         plots.append("  '%s' using 1:%d with linespoints title '%s %s'"
                      % (sweep_csv, i + 2, c.value, v))
     lines.append(", \\\n".join(plots))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    atomic_write(path, "\n".join(lines) + "\n")

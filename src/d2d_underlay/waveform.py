@@ -20,6 +20,8 @@ from enum import Enum
 import numpy as np
 from scipy.signal import fftconvolve
 
+from .geometry import atomic_write
+
 # Frequency-sampling design for overlap factor 4: P2 = sqrt(2)/2 and
 # P1^2 + P3^2 = 1, giving near-perfect reconstruction.
 PHYDYAS_K4_COEFFS = (1.0, 0.971960, math.sqrt(2.0) / 2.0, 0.235147)
@@ -405,8 +407,7 @@ def save_table(table, path):
                                    "%.17g" % table.reference_power)]
     for l in range(-table.half_span, table.half_span + 1):
         lines.append("%d,%.17g" % (l, table.coeffs[l]))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    atomic_write(path, "\n".join(lines) + "\n")
 
 
 def _parse_kind(token, line):

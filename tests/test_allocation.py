@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.optimize import OptimizeResult
 
 import d2d_underlay as d
 from d2d_underlay import allocation as al
@@ -254,3 +255,58 @@ def test_result_json_round_trip(tmp_path, tables):
     assert np.array_equal(res.powers.p_d2d, res2.powers.p_d2d)
     assert res2.status is res.status
     assert res2.kkt_residual == res.kkt_residual
+
+
+def test_kkt_residual_scores_unsolved_dual(tables, monkeypatch):
+    """The zero dual water-fills every subcarrier to the cap; its primal
+    overloads the constraints, so it must not be scored as optimal."""
+    cfg = d.ScenarioConfig()
+    rng = np.random.default_rng(11)
+    gains = d.gains_from_placement(d.sample_placement(cfg, rng), cfg, rng)
+    smap = d.random_cu_map(cfg, rng)
+    zero = itf.PowerAllocation(
+        p_d2d=np.zeros((cfg.num_d2d_pairs, cfg.subcarriers_per_rb)),
+        p_cu=d.uniform_cu_powers(cfg))
+    a = al.hungarian(itf.cu_to_d2d_cost_matrix(gains, zero,
+                                               tables[(OFDM, FBMC)], smap))
+    monkeypatch.setattr(al, "minimize", lambda fun, x0, **kw:
+                        OptimizeResult(x=np.zeros_like(x0), nit=0))
+    monkeypatch.setattr(al, "MAX_NEWTON_STEPS", 0)
+    res = al.power_loading(a, gains, tables, smap, cfg, FBMC)
+    assert res.status is al.SolverStatus.MAX_ITER
+    assert res.kkt_residual > 1e6 * al.KKT_TOLERANCE
+    assert res.iterations_used == 0
+    # the reported primal is still rescaled into feasibility
+    sinr = itf.cu_sinr_all(gains, res.powers, tables,
+                           smap.with_assignment(a.rb_of_pair),
+                           cfg.noise_per_subcarrier_w, FBMC)
+    assert np.all(sinr >= 10 ** (cfg.cu_min_sinr / 10) * (1 - 1e-9))
+
+
+def test_newton_steps_bounded_on_stall_campaign(tables, monkeypatch):
+    """In this campaign the OFDM solve of snapshot 5 stalls a Newton phase
+    whose Armijo test differences two rounded dual values (9,999 steps when
+    unbounded): every solve must end OPTIMAL within L-BFGS-B's iterations
+    plus MAX_NEWTON_STEPS."""
+    lbfgsb_iters, solves = [], []
+    minimize, power_loading = al.minimize, al.power_loading
+
+    def counting_minimize(*args, **kwargs):
+        res = minimize(*args, **kwargs)
+        lbfgsb_iters.append(int(res.nit))
+        return res
+
+    def recording_power_loading(*args, **kwargs):
+        lbfgsb_iters.clear()
+        res = power_loading(*args, **kwargs)
+        solves.append((sum(lbfgsb_iters), res))
+        return res
+
+    monkeypatch.setattr(al, "minimize", counting_minimize)
+    monkeypatch.setattr(al, "power_loading", recording_power_loading)
+    cfg = d.with_updates(d.ScenarioConfig(), seed=2000085, iterations=20)
+    d.run_campaign(cfg, tables)
+    assert len(solves) == 40
+    for nit, res in solves:
+        assert res.status is al.SolverStatus.OPTIMAL
+        assert nit <= res.iterations_used <= nit + al.MAX_NEWTON_STEPS

@@ -73,6 +73,18 @@ def test_empty_sweep_values_is_usage_error(capsys, config_path, fast_tables):
     assert "--values" in err
 
 
+@pytest.mark.parametrize("sub", [["run"], ["sweep", "--parameter", "num_pairs",
+                                           "--values", "5"]])
+def test_negative_jobs_is_usage_error(capsys, config_path, fast_tables,
+                                      tmp_path, sub):
+    out = tmp_path / "out"
+    code, _, err = _run(capsys, sub + ["--config", config_path, "--jobs", "-1",
+                                       "--out", str(out)])
+    assert code == cli.EXIT_USAGE
+    assert "--jobs" in err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # config failures
 # ---------------------------------------------------------------------------
@@ -97,6 +109,16 @@ def test_sweep_invariant_exits_4(capsys, config_path, fast_tables, tmp_path):
                                  "--values", "300", "--out", str(tmp_path)])
     assert code == cli.EXIT_INVARIANT
     assert "300" in err
+
+
+def test_non_integral_num_pairs_exits_4(capsys, config_path, fast_tables,
+                                        tmp_path):
+    code, _, err = _run(capsys, ["sweep", "--config", config_path,
+                                 "--parameter", "num_pairs",
+                                 "--values", "5.7", "--out", str(tmp_path)])
+    assert code == cli.EXIT_INVARIANT
+    assert "5.7" in err and "integer" in err
+    assert not (tmp_path / "sweep.csv").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -131,3 +133,73 @@ def test_placement_csv(tmp_path, rng):
     lines = out.read_text().splitlines()
     assert lines[0] == "node_type,index,x,y"
     assert len(lines) == 1 + 1 + 15 + 10 + 10
+
+
+def test_draw_rx_fallback_is_bounded(rng):
+    # a 2 m link cap never clears the 3 m floor, so every draw falls back
+    tx = np.zeros(2)
+    rx = geo._draw_rx(rng, tx, 2.0, 250.0, tx[None, :])
+    assert 0.0 <= np.linalg.norm(rx - tx) <= 2.0
+    # from a transmitter outside the cell the fallback fails as well
+    far = np.array([1000.0, 0.0])
+    with pytest.raises(d.ConfigurationError, match="200 draws"):
+        geo._draw_rx(rng, far, 2.0, 250.0, far[None, :])
+
+
+class _FailingFile:
+    """Writes the first half of the text, then fails as a full disk does."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, text):
+        self.fh.write(text[:len(text) // 2])
+        self.fh.flush()
+        raise OSError(28, "No space left on device")
+
+
+def _writers(tables):
+    cfg = d.with_updates(d.ScenarioConfig(), num_d2d_pairs=2)
+    rng = np.random.default_rng(5)
+    placement = d.sample_placement(cfg, rng)
+    gains = d.gains_from_placement(placement, cfg, rng)
+    result = d.PowerLoadingResult(
+        powers=d.PowerAllocation(p_d2d=np.zeros((2, 12)),
+                                 p_cu=d.uniform_cu_powers(cfg)),
+        dual_cu=np.zeros(15), dual_cap=np.zeros(2), kkt_residual=0.0,
+        iterations_used=0, status=d.SolverStatus.OPTIMAL)
+    table = next(iter(tables.values()))
+    return {
+        "save_table": lambda path: d.save_table(table, path),
+        "save_config": lambda path: d.save_config(cfg, path),
+        "placement_to_csv": lambda path: d.placement_to_csv(placement, path),
+        "gains_to_csv": lambda path: d.gains_to_csv(gains, path),
+        "result_to_json": lambda path: d.result_to_json(
+            d.Assignment(np.array([0, 1])), result, path),
+    }
+
+
+@pytest.mark.parametrize("name", ["save_table", "save_config",
+                                  "placement_to_csv", "gains_to_csv",
+                                  "result_to_json"])
+def test_writer_failing_midway_keeps_previous_file(name, tables, tmp_path,
+                                                   monkeypatch):
+    write = _writers(tables)[name]
+    path = tmp_path / "out"
+    write(path)
+    before = path.read_bytes()
+    assert before
+    fdopen = os.fdopen
+    with monkeypatch.context() as m:
+        m.setattr(os, "fdopen",
+                  lambda fd, *a, **k: _FailingFile(fdopen(fd, *a, **k)))
+        with pytest.raises(OSError, match="No space"):
+            write(path)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]

@@ -79,6 +79,11 @@ def test_campaign_parallel_matches_sequential(tables):
         assert np.array_equal(a.actual[c], b.actual[c])
 
 
+def test_campaign_rejects_negative_jobs(tables):
+    with pytest.raises(ValueError, match="jobs"):
+        d.run_campaign(d.ScenarioConfig(), tables, jobs=-1)
+
+
 def test_sweep_reports_offending_value(tables):
     cfg = d.with_updates(d.ScenarioConfig(), iterations=1)
     with pytest.raises(d.ConfigurationError, match="NUM_PAIRS = 99"):
