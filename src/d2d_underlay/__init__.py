@@ -25,10 +25,8 @@ from .channel import (
 )
 from .interference import (
     SpectrumMap, PowerAllocation, random_cu_map, uniform_cu_powers,
-    cu_sinr, cu_sinr_all, omega_d2d_to_cu, d2d_to_cu_load_matrix,
-    i_cu_at_d2d, i_cu_matrix, i_d2d_at, i_d2d_matrix,
-    d2d_sinr_actual, d2d_sinr_predicted, d2d_sinr_matrices,
-    cu_to_d2d_cost_matrix,
+    cu_sinr_all, d2d_to_cu_coefficients, i_cu_matrix, i_d2d_matrix,
+    d2d_sinr_matrices, cu_to_d2d_cost_matrix,
 )
 from .allocation import (
     Assignment, PowerLoadingResult, SolverStatus, InfeasibleAssignmentError,

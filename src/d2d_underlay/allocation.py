@@ -97,11 +97,8 @@ def cu_constraint_coefficients(gains, tables, smap, cu_powers, config, d2d_kind)
     CU i must still meet its minimum SINR.  Negative headroom marks the
     snapshot infeasible.
     """
-    table = tables[(d2d_kind, WaveformType.OFDM)]
-    kern = table.band_kernels(smap.num_rbs, smap.subcarriers_per_rb)
-    d = itf._offset_index(smap, smap.rb_of_cu[:, None], smap.rb_of_d2d[None, :])
-    c = (gains.h_d2d_bs[None, :, None] * kern.by_interferer[d]
-         / table.reference_power)
+    c = itf.d2d_to_cu_coefficients(
+        gains, tables[(d2d_kind, WaveformType.OFDM)], smap)
     gamma_min = 10.0 ** (config.cu_min_sinr / 10.0)
     sigma2_rb = config.noise_per_subcarrier_w * smap.subcarriers_per_rb
     thresholds = cu_powers * gains.h_cu_bs / gamma_min - sigma2_rb

@@ -10,8 +10,6 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
 from . import geometry as geo
 from . import simulation as sim
 from . import waveform as wf
@@ -23,8 +21,6 @@ EXIT_CONFIG = 3
 EXIT_INVARIANT = 4
 
 OUTPUT_DIR_ENV = "D2D_UNDERLAY_OUT"
-
-_PAIR_NAMES = {"ofdm": wf.OFDM, "fbmc": wf.FBMC}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -105,32 +101,28 @@ class ConfigError(Exception):
     pass
 
 
-def _build_tables(config=None, fft_size=512, offsets=400, half_span=36, seed=0):
+def _build_tables(method=wf.TIME_SIM, fft_size=512, offsets=400,
+                  half_span=wf.DEFAULT_HALF_SPAN, seed=0):
     filt = wf.build_phydyas_filter(4, fft_size)
-    return wf.build_all_tables(filt, half_span=half_span,
+    return wf.build_all_tables(filt, method=method, half_span=half_span,
                                num_offsets=offsets, seed=seed)
 
 
 def _cmd_tables(args):
-    out = _out_dir(args)
-    filt = wf.build_phydyas_filter(4, args.fft_size)
-    method = wf.TIME_SIM if args.method == "time" else wf.PSD
-    if args.pair == "all":
-        pairs = [(a, b) for a in _PAIR_NAMES.values() for b in _PAIR_NAMES.values()]
-    else:
+    keys = None
+    if args.pair != "all":
         a, _, b = args.pair.partition(":")
         try:
-            pairs = [(wf.parse_waveform(a), wf.parse_waveform(b))]
+            keys = [(wf.parse_waveform(a).kind, wf.parse_waveform(b).kind)]
         except wf.UnsupportedParameterError:
             raise UsageError("unknown waveform pair %r" % args.pair)
-    for a, b in pairs:
-        if method == wf.TIME_SIM:
-            table = wf.table_from_time_sim(a, b, filt, args.span,
-                                           args.offsets, seed=args.seed)
-        else:
-            table = wf.table_from_psd(a, b, filt, args.span)
-        name = "table_%s_%s.csv" % (a.kind.value.lower(), b.kind.value.lower())
-        wf.save_table(table, os.path.join(out, name))
+    out = _out_dir(args)
+    method = wf.TIME_SIM if args.method == "time" else wf.PSD
+    tables = _build_tables(method, args.fft_size, args.offsets, args.span,
+                           args.seed)
+    for a, b in keys or tables:
+        name = "table_%s_%s.csv" % (a.value.lower(), b.value.lower())
+        wf.save_table(tables[(a, b)], os.path.join(out, name))
         print(os.path.join(out, name))
     return EXIT_OK
 

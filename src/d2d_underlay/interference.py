@@ -4,9 +4,6 @@ Conventions: RB ``r`` occupies subcarriers ``[r*S, r*S + S - 1]`` of a
 contiguous band (S = subcarriers per RB); CU transmit power is spread
 uniformly over the 12 subcarriers of its RB; noise is per-subcarrier, with
 the per-RB aggregate ``S * noise_sc`` used in the CU SINR.
-
-Scalar operations mirror the analytical expressions one index at a time;
-``*_matrix`` variants are the vectorised forms the simulator uses.
 """
 from __future__ import annotations
 
@@ -76,18 +73,14 @@ def _offset_index(smap, rb_victim, rb_interferer):
     return rb_victim - rb_interferer + smap.num_rbs - 1
 
 
-# ---------------------------------------------------------------------------
-# vectorised forms
-# ---------------------------------------------------------------------------
-
-def d2d_to_cu_load_matrix(gains, powers, table, smap):
-    """Per-CU aggregate D2D leakage seen at the BS, in W: element ``i`` is
-    ``sum_j h_jB * sum_m sum_k (P_jm / P0) I(|k - m|)`` over CU i's RB."""
+def d2d_to_cu_coefficients(gains, table, smap):
+    """Leakage at the BS, in W per W, of pair j's subcarrier m into CU i's RB
+    as ``c[i, j, m] = h_jB * sum_k I(|k - m|) / P0`` over CU i's subcarriers
+    k; the table must be D2D-waveform -> OFDM."""
     kern = table.band_kernels(smap.num_rbs, smap.subcarriers_per_rb)
     d = _offset_index(smap, smap.rb_of_cu[:, None], smap.rb_of_d2d[None, :])
-    w = kern.by_interferer[d]                     # (CU, pair, m)
-    return np.einsum("j,jm,ijm->i", gains.h_d2d_bs, powers.p_d2d,
-                     w) / table.reference_power
+    return (gains.h_d2d_bs[None, :, None] * kern.by_interferer[d]
+            / table.reference_power)
 
 
 def cu_sinr_all(gains, powers, tables, smap, noise_sc, d2d_kind=None):
@@ -96,8 +89,9 @@ def cu_sinr_all(gains, powers, tables, smap, noise_sc, d2d_kind=None):
     if smap.rb_of_d2d is None or d2d_kind is None:
         interference = 0.0
     else:
-        table = tables[(d2d_kind, WaveformType.OFDM)]
-        interference = d2d_to_cu_load_matrix(gains, powers, table, smap)
+        c = d2d_to_cu_coefficients(
+            gains, tables[(d2d_kind, WaveformType.OFDM)], smap)
+        interference = np.einsum("ijm,jm->i", c, powers.p_d2d)
     return powers.p_cu * gains.h_cu_bs / (sigma2 + interference)
 
 
@@ -146,43 +140,3 @@ def cu_to_d2d_cost_matrix(gains, powers, table, smap):
     return np.einsum("ij,i,ir->jr", gains.h_cu_d2d, p_sc,
                      w) / table.reference_power
 
-
-# ---------------------------------------------------------------------------
-# scalar forms (one index at a time)
-# ---------------------------------------------------------------------------
-
-def omega_d2d_to_cu(pair, cu, gains, powers, table, smap):
-    """Leakage power ratio of one pair's whole RB onto one CU's RB, already
-    weighted by the pair-to-BS gain."""
-    kern = table.band_kernels(smap.num_rbs, smap.subcarriers_per_rb)
-    d = _offset_index(smap, smap.rb_of_cu[cu], smap.rb_of_d2d[pair])
-    omega = float(powers.p_d2d[pair] @ kern.by_interferer[d]) / table.reference_power
-    return gains.h_d2d_bs[pair] * omega
-
-
-def cu_sinr(cu, gains, powers, tables, smap, noise_sc, d2d_kind=None):
-    return float(cu_sinr_all(gains, powers, tables, smap, noise_sc,
-                             d2d_kind)[cu])
-
-
-def i_cu_at_d2d(pair, subcarrier, gains, powers, tables, smap, d2d_kind):
-    table = tables[(WaveformType.OFDM, d2d_kind)]
-    return float(i_cu_matrix(gains, powers, table, smap)[pair, subcarrier])
-
-
-def i_d2d_at(pair, subcarrier, gains, powers, tables, smap, d2d_kind):
-    table = tables[(d2d_kind, d2d_kind)]
-    return float(i_d2d_matrix(gains, powers, table, smap)[pair, subcarrier])
-
-
-def d2d_sinr_actual(pair, subcarrier, gains, powers, tables, smap, noise_sc,
-                    d2d_kind):
-    actual, _ = d2d_sinr_matrices(gains, powers, tables, smap, noise_sc, d2d_kind)
-    return float(actual[pair, subcarrier])
-
-
-def d2d_sinr_predicted(pair, subcarrier, gains, powers, tables, smap, noise_sc,
-                       d2d_kind):
-    _, predicted = d2d_sinr_matrices(gains, powers, tables, smap, noise_sc,
-                                     d2d_kind)
-    return float(predicted[pair, subcarrier])

@@ -28,6 +28,8 @@ PHYDYAS_K4_COEFFS = (1.0, 0.971960, math.sqrt(2.0) / 2.0, 0.235147)
 
 DEFAULT_CP_RATIO = 1.0 / 14.0   # normal LTE CP, averaged over the slot
 DEFAULT_HALF_SPAN = 36          # 3 RBs; OFDM sidelobes < -40 dB beyond
+NUM_VICTIM_SYMBOLS = 16         # victim outputs averaged per timing offset
+PSD_PAD_FACTOR = 64             # PSD grid points per subcarrier spacing
 
 PSD = "PSD"
 TIME_SIM = "TIME_SIM"
@@ -165,10 +167,6 @@ class InterferenceTable:
         """I(l); zero beyond the half span by definition."""
         return self.coeffs.get(int(l), 0.0)
 
-    def coeff_array(self):
-        L = self.half_span
-        return np.array([self.coeffs[l] for l in range(-L, L + 1)])
-
     def validate(self):
         L = self.half_span
         if L < 1:
@@ -271,8 +269,7 @@ def _xcorr_energy(pulse, windows):
 
 
 def table_from_time_sim(interferer, victim, filt, half_span,
-                        num_offsets, seed, freq_offset=False,
-                        num_victim_symbols=16, timing_offsets=None):
+                        num_offsets, seed, timing_offsets=None):
     """Offset-averaged leakage table from a time-domain receiver model.
 
     One interferer subcarrier transmits an endless stream of unit-power random
@@ -283,14 +280,12 @@ def table_from_time_sim(interferer, victim, filt, half_span,
     in closed form, so only the offsets are sampled.  Deterministic for a
     given seed.
 
-    ``freq_offset=True`` additionally draws a carrier frequency offset
-    uniformly within +/- half the subcarrier spacing for every offset sample.
     ``timing_offsets`` forces an explicit list of timing offsets (in samples)
     instead of random draws; used for calibration tests.
 
-    Averaged over timing offsets (no ``freq_offset``), I(l) is the
-    interferer's PSD weighted by the victim's window response, times the
-    real-part factor, over the useful power:
+    Averaged over timing offsets, I(l) is the interferer's PSD weighted by
+    the victim's window response, times the real-part factor, over the
+    useful power:
     ``rho * (var / T) * integral |P(f)|^2 |W_l(f)|^2 df / U``, with P, T and
     var the interferer's pulse, symbol period and symbol variance, W_l the
     victim's analysis window at offset l, rho = 1 (OFDM) or 0.5 (OQAM) and
@@ -300,7 +295,6 @@ def table_from_time_sim(interferer, victim, filt, half_span,
         raise ValueError("half_span must be >= 1")
     if timing_offsets is None and num_offsets < 100:
         raise ValueError("num_offsets must be >= 100")
-    N = filt.fft_size
     pulse, t_int, var_int = _interferer_pulse(interferer, filt)
     ls = np.arange(0, half_span + 1)
     win, t_vic, tau_span, re_factor, useful = _victim_bank(victim, filt, ls)
@@ -311,27 +305,16 @@ def table_from_time_sim(interferer, victim, filt, half_span,
         taus = np.asarray(timing_offsets, dtype=int)
     else:
         taus = rng.integers(0, tau_span, size=num_offsets)
-    if freq_offset:
-        eps = rng.uniform(-0.5, 0.5, size=taus.size)
-    else:
-        eps = np.zeros(taus.size)
 
-    V = num_victim_symbols
+    V = NUM_VICTIM_SYMBOLS
     v = np.arange(V)
     s_lo = int(np.floor(-(pulse.size - 1 + tau_span) / t_int)) - 1
     s_hi = int(np.ceil((n_win - 1 + tau_span + V * t_vic) / t_int)) + 1
     s = np.arange(s_lo, s_hi + 1)
 
-    energy = None
-    if not freq_offset:
-        energy = _xcorr_energy(pulse, win)
-
+    e = _xcorr_energy(pulse, win)
     acc = np.zeros(half_span + 1)
-    u = np.arange(pulse.size)
-    for tau, ep in zip(taus, eps):
-        e = energy
-        if e is None:
-            e = _xcorr_energy(pulse * np.exp(2j * np.pi * ep * u / N), win)
+    for tau in taus:
         lags = s[None, :] * t_int - int(tau) - v[:, None] * t_vic
         k = n_win - 1 - lags
         valid = (k >= 0) & (k < e.shape[1])
@@ -348,7 +331,7 @@ def table_from_time_sim(interferer, victim, filt, half_span,
                              reference_power=1.0, method=TIME_SIM).validate()
 
 
-def table_from_psd(interferer, victim, filt, half_span, pad_factor=64):
+def table_from_psd(interferer, victim, filt, half_span):
     """Leakage table from band-integration of the interferer's PSD.
 
     The per-subcarrier PSD is |FFT of the symbol pulse|^2 on a fine grid;
@@ -365,7 +348,7 @@ def table_from_psd(interferer, victim, filt, half_span, pad_factor=64):
         pulse = np.ones(N + int(round(interferer.cp_ratio * N)))
     else:
         pulse = filt.impulse_response
-    m = pad_factor * N
+    m = PSD_PAD_FACTOR * N
     psd = np.abs(np.fft.fft(pulse, m)) ** 2
     f = np.fft.fftfreq(m) * N    # frequency in subcarrier spacings
     total = psd.sum()
@@ -380,7 +363,7 @@ def table_from_psd(interferer, victim, filt, half_span, pad_factor=64):
 
 
 def build_all_tables(filt, method=TIME_SIM, half_span=DEFAULT_HALF_SPAN,
-                     num_offsets=400, seed=0, freq_offset=False):
+                     num_offsets=400, seed=0):
     """All four (interferer, victim) pairings, keyed by WaveformType pairs."""
     kinds = (OFDM, FBMC)
     tables = {}
@@ -390,7 +373,7 @@ def build_all_tables(filt, method=TIME_SIM, half_span=DEFAULT_HALF_SPAN,
                 t = table_from_psd(a, b, filt, half_span)
             else:
                 t = table_from_time_sim(a, b, filt, half_span, num_offsets,
-                                        seed + 7 * i + j, freq_offset=freq_offset)
+                                        seed + 7 * i + j)
             tables[(a.kind, b.kind)] = t
     return tables
 

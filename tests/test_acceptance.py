@@ -141,7 +141,7 @@ def test_criterion_2_power_loading_kkt_and_grid_oracle(tables, report_line):
               and elapsed < 10.0)
     report_line(2, passed,
                 "%d/50 instances solved, worst SINR-floor violation %.1e, "
-                "worst stationarity residual %.1e, toy objective within %.1e "
+                "worst KKT residual %.1e, toy objective within %.1e "
                 "of grid oracle, %.1f s (budget 10 s)"
                 % (optimal, worst_violation, worst_slack, grid_gap, elapsed))
 

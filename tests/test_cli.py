@@ -95,6 +95,23 @@ def test_missing_config_exits_3(capsys, tmp_path):
     assert err.startswith("error:")
 
 
+def test_missing_tables_dir_exits_3(capsys, config_path, tmp_path):
+    code, _, err = _run(capsys, ["validate", "--config", config_path,
+                                 "--tables", str(tmp_path / "nope")])
+    assert code == cli.EXIT_CONFIG
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+def test_tables_out_is_a_file_exits_3(capsys, tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code, _, err = _run(capsys, ["tables", "--method", "psd", "--span", "4",
+                                 "--fft-size", "128", "--out", str(blocker)])
+    assert code == cli.EXIT_CONFIG
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert blocker.read_text() == ""
+
+
 def test_invalid_config_value_exits_4(capsys, tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("num_d2d_pairs = -3\n")
@@ -125,18 +142,41 @@ def test_non_integral_num_pairs_exits_4(capsys, config_path, fast_tables,
 # happy paths
 # ---------------------------------------------------------------------------
 
-def test_tables_roundtrip(capsys, tmp_path):
-    code, out, _ = _run(capsys, ["tables", "--pair", "fbmc:ofdm",
-                                 "--method", "psd", "--span", "8",
-                                 "--fft-size", "128", "--out", str(tmp_path)])
-    assert code == cli.EXIT_OK
-    files = sorted(p.name for p in tmp_path.iterdir())
-    assert files == ["table_fbmc_oqam_ofdm.csv"]
-    assert out.strip().endswith(files[0])
-    table = wf.load_table(tmp_path / files[0]).validate()
-    assert table.interferer.kind is wf.WaveformType.FBMC_OQAM
-    assert table.victim.kind is wf.WaveformType.OFDM
-    assert table.half_span == 8
+@pytest.mark.parametrize("method,span,offsets,pairs", [
+    ("psd", 8, 400, ["fbmc:ofdm"]),
+    ("time", 4, 100, ["all", "fbmc:fbmc"]),
+], ids=["psd", "time"])
+def test_tables_roundtrip(capsys, tmp_path, method, span, offsets, pairs):
+    """``tables`` writes the tables ``run`` and ``sweep`` build, with the
+    same per-pairing seeds."""
+    built = wf.build_all_tables(
+        wf.build_phydyas_filter(4, 128),
+        method=wf.PSD if method == "psd" else wf.TIME_SIM,
+        half_span=span, num_offsets=offsets, seed=0)
+    for pair in pairs:
+        out = tmp_path / pair.replace(":", "_")
+        code, msg, _ = _run(capsys, [
+            "tables", "--pair", pair, "--method", method,
+            "--span", str(span), "--offsets", str(offsets),
+            "--fft-size", "128", "--out", str(out)])
+        assert code == cli.EXIT_OK
+        assert sorted(msg.split()) == sorted(str(p) for p in out.iterdir())
+        written = {}
+        for path in out.iterdir():
+            table = wf.load_table(path)
+            key = (table.interferer.kind, table.victim.kind)
+            assert path.name == "table_%s_%s.csv" % tuple(
+                k.value.lower() for k in key)
+            written[key] = table
+        if pair == "all":
+            keys = set(built)
+        else:
+            a, b = pair.split(":")
+            keys = {(wf.parse_waveform(a).kind, wf.parse_waveform(b).kind)}
+        assert set(written) == keys
+        assert all(t.half_span == span for t in written.values())
+        assert [key for key, t in written.items()
+                if t.coeffs != built[key].coeffs] == []
 
 
 def test_run_outputs_and_determinism(capsys, config_path, fast_tables, tmp_path):

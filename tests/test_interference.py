@@ -97,6 +97,7 @@ def test_oracle_equivalence_all_expressions(kind, tables):
                                               noise, kind)
     cost = itf.cu_to_d2d_cost_matrix(gains, powers, t_cu, smap)
     cu_sinr = itf.cu_sinr_all(gains, powers, tables, smap, noise, kind)
+    c = itf.d2d_to_cu_coefficients(gains, t_bs, smap)
 
     for j in range(cfg.num_d2d_pairs):
         for m in range(S):
@@ -113,36 +114,13 @@ def test_oracle_equivalence_all_expressions(kind, tables):
             assert cost[j, r] == pytest.approx(
                 brute_cost(j, r, gains, powers, t_cu, smap), rel=1e-12)
     for i in range(cfg.num_cus):
-        denom = noise * S + sum(brute_omega(j, i, gains, powers, t_bs, smap)
-                                for j in range(cfg.num_d2d_pairs))
+        omegas = [brute_omega(j, i, gains, powers, t_bs, smap)
+                  for j in range(cfg.num_d2d_pairs)]
+        for j, omega in enumerate(omegas):
+            assert c[i, j] @ powers.p_d2d[j] == pytest.approx(omega, rel=1e-12)
+        denom = noise * S + sum(omegas)
         ref = powers.p_cu[i] * gains.h_cu_bs[i] / denom
         assert cu_sinr[i] == pytest.approx(ref, rel=1e-12)
-
-
-def test_scalar_wrappers_match_matrices(tables):
-    cfg = small_config()
-    gains, powers, smap = make_instance(cfg, tables)
-    noise = cfg.noise_per_subcarrier_w
-    i_cu = itf.i_cu_matrix(gains, powers, tables[(OFDM, FBMC)], smap)
-    i_dd = itf.i_d2d_matrix(gains, powers, tables[(FBMC, FBMC)], smap)
-    actual, predicted = itf.d2d_sinr_matrices(gains, powers, tables, smap,
-                                              noise, FBMC)
-    assert itf.i_cu_at_d2d(1, 4, gains, powers, tables, smap, FBMC) \
-        == pytest.approx(i_cu[1, 4], rel=1e-15)
-    assert itf.i_d2d_at(0, 7, gains, powers, tables, smap, FBMC) \
-        == pytest.approx(i_dd[0, 7], rel=1e-15)
-    assert itf.d2d_sinr_actual(1, 2, gains, powers, tables, smap, noise, FBMC) \
-        == pytest.approx(actual[1, 2], rel=1e-15)
-    assert itf.d2d_sinr_predicted(1, 2, gains, powers, tables, smap, noise,
-                                  FBMC) == pytest.approx(predicted[1, 2],
-                                                         rel=1e-15)
-    assert itf.cu_sinr(2, gains, powers, tables, smap, noise, FBMC) \
-        == pytest.approx(itf.cu_sinr_all(gains, powers, tables, smap, noise,
-                                         FBMC)[2], rel=1e-15)
-    assert itf.omega_d2d_to_cu(0, 1, gains, powers, tables[(FBMC, OFDM)],
-                               smap) == pytest.approx(
-        brute_omega(0, 1, gains, powers, tables[(FBMC, OFDM)], smap),
-        rel=1e-12)
 
 
 def test_no_d2d_means_interference_free_cu(tables):
@@ -243,8 +221,8 @@ def test_truncation_beyond_half_span(tables):
     t = tables[(FBMC, OFDM)]
     cfg = d.with_updates(d.ScenarioConfig(), num_rbs=8, num_cus=8,
                          num_d2d_pairs=2)
-    gains, powers, smap = make_instance(cfg, tables)
+    gains, _, smap = make_instance(cfg, tables)
     smap = smap.with_assignment(np.array([0, 7]))
     # pair 0 on RB 0 vs the CU on RB 7: separation >= 6*12 - 11 > 36
     cu_on_7 = int(np.flatnonzero(smap.rb_of_cu == 7)[0])
-    assert itf.omega_d2d_to_cu(0, cu_on_7, gains, powers, t, smap) == 0.0
+    assert not itf.d2d_to_cu_coefficients(gains, t, smap)[cu_on_7, 0].any()

@@ -119,7 +119,7 @@ def test_psd_fbmc_stopband(tables_psd):
 def test_tables_conserve_power(method, tables, tables_psd):
     group = tables if method == "time" else tables_psd
     for t in group.values():
-        assert t.coeff_array().sum() <= 1.0 + 1e-6
+        assert sum(t.coeffs.values()) <= 1.0 + 1e-6
 
 
 def test_time_sim_aligned_ofdm_delivers_full_power(filt512):
