@@ -54,7 +54,7 @@ def main():
         assignment.rb_of_pair.tolist())))
 
     res = power_loading(assignment, gains, tables, smap, cfg, kind)
-    print("solver status %s after %d dual iterations, KKT residual %.1e"
+    print("solver status %s after %d Newton steps, KKT residual %.1e"
           % (res.status.value, res.iterations_used, res.kkt_residual))
 
     cap = cfg.max_tx_power_w

@@ -14,15 +14,16 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment, minimize
+# power_loading calls no scipy optimizer; ``minimize`` stays a module name
+# because benchmark/spans.py wraps ``allocation.minimize`` for its traced run
+from scipy.optimize import linear_sum_assignment, minimize  # noqa: F401
 
 from . import interference as itf
 from .geometry import atomic_write
 from .waveform import WaveformType
 
 KKT_TOLERANCE = 1e-6
-MAX_DUAL_ITERATIONS = 10_000     # L-BFGS-B iteration cap
-MAX_NEWTON_STEPS = 20
+MAX_NEWTON_STEPS = 50
 MAX_BACKTRACKS = 30
 
 
@@ -56,8 +57,8 @@ class Assignment:
 
 @dataclass
 class PowerLoadingResult:
-    """Solved powers and duals.  ``iterations_used`` counts the L-BFGS-B
-    iterations plus the projected-Newton steps that followed them."""
+    """Solved powers and duals.  ``iterations_used`` counts the
+    projected-Newton steps taken from the water-filling start."""
 
     powers: itf.PowerAllocation
     dual_cu: np.ndarray
@@ -113,6 +114,14 @@ def _water_fill(z, a, g):
     return w, np.clip(x, 0.0, 1.0)
 
 
+def _cap_duals(g):
+    """Water-filling dual 1/level of each pair's power cap alone, g shaped
+    (pairs, S): level = min_n (1 + sum of the n smallest 1/g) / n."""
+    inv = np.sort(1.0 / g, axis=1)
+    n = np.arange(1, g.shape[1] + 1)
+    return 1.0 / ((1.0 + np.cumsum(inv, axis=1)) / n).min(axis=1)
+
+
 def power_loading(assignment, gains, tables, smap, config, d2d_kind):
     """Solve the simplified power-loading problem for one snapshot.
 
@@ -120,8 +129,9 @@ def power_loading(assignment, gains, tables, smap, config, d2d_kind):
     to sum <= 1, so duals live on comparable scales.  The constraints are the
     rows of one matrix A (CU rows, then a cap row per pair); the dual
     D(z) = sum log(1 + g x) + z (1 - A x) at the water-filled x is minimized
-    over z >= 0 by L-BFGS-B, then by projected-Newton steps, which also score
-    the KKT residual and rescale the primal into strict feasibility.
+    over z >= 0 by damped projected-Newton steps, started from each pair's
+    water-filling cap dual with the CU duals at 0.  The same loop scores the
+    KKT residual and rescales the primal into strict feasibility.
     """
     smap = smap.with_assignment(assignment.rb_of_pair)
     num_pairs = len(assignment.rb_of_pair)
@@ -145,44 +155,41 @@ def power_loading(assignment, gains, tables, smap, config, d2d_kind):
     a = np.vstack([chat, np.kron(np.eye(num_pairs), np.ones(s))])
     i_cu = itf.i_cu_matrix(gains, zero, tables[(WaveformType.OFDM, d2d_kind)],
                            smap)
-    g = (p_max * gains.h_self[:, None]
-         / (config.noise_per_subcarrier_w + i_cu)).ravel()
+    g = p_max * gains.h_self[:, None] / (config.noise_per_subcarrier_w + i_cu)
 
-    def dual(z):
-        _, x = _water_fill(z, a, g)
-        slack = 1.0 - a @ x
-        return np.log1p(g * x).sum() + z @ slack, slack
-
-    res = minimize(dual, np.zeros(len(a)), jac=True, method="L-BFGS-B",
-                   bounds=[(0.0, None)] * len(a),
-                   options=dict(maxiter=MAX_DUAL_ITERATIONS, ftol=1e-12,
-                                gtol=1e-6))
-    z, x, kkt, steps = _projected_newton(res.x, a, g)
+    start = np.concatenate([np.zeros(num_cu), _cap_duals(g)])
+    z, x, kkt, steps = _projected_newton(start, a, g.ravel())
     status = (SolverStatus.OPTIMAL if kkt < KKT_TOLERANCE
               else SolverStatus.MAX_ITER)
     powers = itf.PowerAllocation(p_d2d=x.reshape(num_pairs, s) * p_max,
                                  p_cu=cu_powers)
     return PowerLoadingResult(powers=powers.validate(p_max),
                               dual_cu=z[:num_cu], dual_cap=z[num_cu:],
-                              kkt_residual=kkt,
-                              iterations_used=int(res.nit) + steps,
+                              kkt_residual=kkt, iterations_used=steps,
                               status=status)
 
 
 def _projected_newton(z, a, g):
-    """At most MAX_NEWTON_STEPS projected-Newton steps on min D(z), z >= 0
-    (Bertsekas, SIAM J. Control Optim. 1982).
+    """At most MAX_NEWTON_STEPS damped projected-Newton steps on min D(z),
+    z >= 0 (Bertsekas, SIAM J. Control Optim. 1982).
 
     Duals within epsilon of 0 with a positive gradient stay at the bound; the
-    rest take a Newton step with the Hessian A_F diag(1/w_F^2) A_F^T over the
-    subcarriers F inside (0, 1), backtracked (Armijo) along the projection
-    arc.  Stops at a KKT residual of 0.1 KKT_TOLERANCE, or when a line search
-    makes no progress.  The KKT residual is the larger of the water-filled
-    primal's overload max(A x) - 1, before it is rescaled into feasibility,
-    and the complementary slackness max |z (1 - A x)| after.  Returns the
-    duals, the rescaled primal, the KKT residual and the steps taken.
+    rest take a Newton step with the Hessian H = A_F diag(1/w_F^2) A_F^T over
+    the subcarriers F inside (0, 1), damped Levenberg-Marquardt style to
+    H + lam (curv_i + max diag H) on the diagonal.  curv_i is H's diagonal,
+    or, on a row with no subcarrier inside (0, 1), the curvature at w clipped
+    to [g/(1+g), g], where the subcarriers would enter.  The step is
+    backtracked (Armijo) along the projection arc; lam starts at 1e-3, is
+    divided by 4 after a full step and multiplied by 16 after a shortened
+    one, and by 256 when MAX_BACKTRACKS halvings fail, before a retry.
+    Stops at a KKT residual of 0.1 KKT_TOLERANCE.  The KKT residual is the
+    larger of the water-filled primal's overload max(A x) - 1, before it is
+    rescaled into feasibility, and the complementary slackness
+    max |z (1 - A x)| after.  Returns the duals, the rescaled primal, the
+    KKT residual and the steps taken.
     """
     w, x = _water_fill(z, a, g)
+    lam = 1e-3
     for step in range(MAX_NEWTON_STEPS + 1):
         load = a @ x
         over = max(load.max(initial=0.0), 1.0)
@@ -193,10 +200,15 @@ def _projected_newton(z, a, g):
         eps = min(1e-6, np.linalg.norm(z - np.maximum(z - grad, 0.0)))
         free = (z > eps) | (grad <= 0)
         inside = (x > 0) & (x < 1)
-        af = a[free][:, inside]
+        a_free = a[free]
+        af = a_free[:, inside]
+        h = (af / w[inside] ** 2) @ af.T
+        diag = h.diagonal().copy()
+        edge = np.clip(w, g / (1.0 + g), g)
+        curv = np.where(diag > 0, diag, (a_free ** 2 / edge ** 2).sum(axis=1))
+        np.fill_diagonal(h, diag + lam * (curv + diag.max(initial=0.0)))
         d = -grad
-        d[free] = np.linalg.lstsq((af / w[inside] ** 2) @ af.T, d[free],
-                                  rcond=None)[0]
+        d[free] = np.linalg.solve(h, d[free])
         for alpha in 0.5 ** np.arange(MAX_BACKTRACKS):
             trial = np.maximum(z + alpha * d, 0.0)
             trial_w, trial_x = _water_fill(trial, a, g)
@@ -207,7 +219,9 @@ def _projected_newton(z, a, g):
             if curvature <= (1e-4 - 1.0) * (grad @ (trial - z)):
                 break
         else:
-            break
+            lam *= 256.0
+            continue
+        lam = lam / 4.0 if alpha == 1.0 else lam * 16.0
         z, w, x = trial, trial_w, trial_x
     return z, x / over, float(kkt), step
 
