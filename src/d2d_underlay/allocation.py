@@ -109,17 +109,23 @@ def cu_constraint_coefficients(gains, tables, smap, cu_powers, config, d2d_kind)
 def _water_fill(z, a, g):
     """Lagrangian maximizer x = clip(1/w - 1/g, 0, 1) at duals z, w = z A."""
     w = z @ a
-    with np.errstate(divide="ignore"):
-        x = 1.0 / np.maximum(w, 1e-300) - 1.0 / g
-    return w, np.clip(x, 0.0, 1.0)
+    return w, np.clip(1.0 / np.maximum(w, 1e-300) - 1.0 / g, 0.0, 1.0)
 
 
-def _cap_duals(g):
-    """Water-filling dual 1/level of each pair's power cap alone, g shaped
-    (pairs, S): level = min_n (1 + sum of the n smallest 1/g) / n."""
-    inv = np.sort(1.0 / g, axis=1)
-    n = np.arange(1, g.shape[1] + 1)
-    return 1.0 / ((1.0 + np.cumsum(inv, axis=1)) / n).min(axis=1)
+def _start_duals(a, g):
+    """Duals that water-fill each pair against its heaviest row of A alone,
+    g shaped (pairs, S).  The row with the largest weight sum over pair j's
+    columns (its co-channel CU row when that CU binds first, else its cap
+    row) gets 1/level, level = min_n (1 + sum of the n smallest c/g) / n
+    over that row's weights c; rows chosen by several pairs add duals."""
+    pairs, s = g.shape
+    blocks = a.reshape(len(a), pairs, s)
+    rows = blocks.sum(axis=2).argmax(axis=0)
+    ratio = np.sort(blocks[rows, np.arange(pairs)] / g, axis=1)
+    level = ((1.0 + np.cumsum(ratio, axis=1)) / np.arange(1, s + 1)).min(axis=1)
+    z = np.zeros(len(a))
+    np.add.at(z, rows, 1.0 / level)
+    return z
 
 
 def power_loading(assignment, gains, tables, smap, config, d2d_kind):
@@ -129,9 +135,10 @@ def power_loading(assignment, gains, tables, smap, config, d2d_kind):
     to sum <= 1, so duals live on comparable scales.  The constraints are the
     rows of one matrix A (CU rows, then a cap row per pair); the dual
     D(z) = sum log(1 + g x) + z (1 - A x) at the water-filled x is minimized
-    over z >= 0 by damped projected-Newton steps, started from each pair's
-    water-filling cap dual with the CU duals at 0.  The same loop scores the
-    KKT residual and rescales the primal into strict feasibility.
+    over z >= 0 by damped projected-Newton steps.  The start water-fills
+    each pair against its heaviest row of A alone: its co-channel CU row
+    when that CU binds before the cap, else its cap row.  The same loop
+    scores the KKT residual and rescales the primal into strict feasibility.
     """
     smap = smap.with_assignment(assignment.rb_of_pair)
     num_pairs = len(assignment.rb_of_pair)
@@ -157,8 +164,7 @@ def power_loading(assignment, gains, tables, smap, config, d2d_kind):
                            smap)
     g = p_max * gains.h_self[:, None] / (config.noise_per_subcarrier_w + i_cu)
 
-    start = np.concatenate([np.zeros(num_cu), _cap_duals(g)])
-    z, x, kkt, steps = _projected_newton(start, a, g.ravel())
+    z, x, kkt, steps = _projected_newton(_start_duals(a, g), a, g.ravel())
     status = (SolverStatus.OPTIMAL if kkt < KKT_TOLERANCE
               else SolverStatus.MAX_ITER)
     powers = itf.PowerAllocation(p_d2d=x.reshape(num_pairs, s) * p_max,

@@ -55,6 +55,11 @@ class ScenarioConfig:
         self.validate()
 
     def validate(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not np.isfinite(value):
+                raise ConfigurationError("%s must be finite, got %r"
+                                         % (f.name, value))
         if self.num_d2d_pairs > self.num_rbs:
             raise ConfigurationError(
                 "num_d2d_pairs (%d) must not exceed num_rbs (%d): the RB map "

@@ -260,9 +260,9 @@ def test_result_json_round_trip(tmp_path, tables):
 
 
 def test_kkt_residual_scores_unsolved_dual(tables, monkeypatch):
-    """The start ignores the CU rows (CU duals 0, each pair water-filled to
-    its cap); its primal overloads the CU constraints, so with no Newton
-    step taken it must not be scored as optimal."""
+    """The start water-fills each pair against its heaviest row alone, so
+    its primal still overloads some other row of A by more than 1; with no
+    Newton step taken it must not be scored as optimal."""
     cfg = d.ScenarioConfig()
     rng = np.random.default_rng(11)
     gains = d.gains_from_placement(d.sample_placement(cfg, rng), cfg, rng)
@@ -284,24 +284,104 @@ def test_kkt_residual_scores_unsolved_dual(tables, monkeypatch):
     assert np.all(sinr >= 10 ** (cfg.cu_min_sinr / 10) * (1 - 1e-9))
 
 
-def test_newton_steps_bounded_on_stall_campaign(tables, monkeypatch):
+def water_filling_dual(c, g):
+    """1/level of water-filling one pair against one row with weights c:
+    level = min_n (1 + sum of the n smallest c/g) / n."""
+    n = np.arange(1, len(g) + 1)
+    return 1.0 / ((1.0 + np.cumsum(np.sort(c / g))) / n).min()
+
+
+def start_instance(tables, seed, cu_min_sinr):
+    """One FBMC pair in the default cell: its assignment, the spectrum map,
+    and the solver's A and g."""
+    cfg, gains, smap, zero = small_instance(tables, seed=seed, num_rbs=15,
+                                            num_pairs=1,
+                                            cu_min_sinr=cu_min_sinr)
+    assignment = al.hungarian(itf.cu_to_d2d_cost_matrix(
+        gains, zero, tables[(OFDM, FBMC)], smap))
+    return (assignment, smap) + normalized_problem(assignment, gains, tables,
+                                                   smap, cfg, FBMC)
+
+
+def test_start_duals_on_loose_floor_water_fill_the_cap(tables):
+    """A loose CU floor leaves the cap row heaviest: the start is the pair's
+    closed-form water-filling dual against its cap, and every CU dual is 0."""
+    _, _, a, g = start_instance(tables, seed=1, cu_min_sinr=-20.0)
+    assert a[:-1].sum(axis=1).max() < g.shape[1]
+    z = al._start_duals(a, g)
+    assert np.all(z[:-1] == 0.0)
+    n = np.arange(1, g.shape[1] + 1)
+    assert z[-1] == 1.0 / ((1.0 + np.cumsum(np.sort(1.0 / g[0]))) / n).min()
+
+
+@pytest.mark.parametrize("seed", [0, 2, 5])
+def test_start_duals_meet_the_co_channel_cu_row(tables, seed):
+    """At the default floor the co-channel CU row is heaviest; the start puts
+    the pair's whole dual on it, and the water-filled primal meets that row
+    with equality while no subcarrier clips at 1."""
+    assignment, smap, a, g = start_instance(tables, seed=seed,
+                                            cu_min_sinr=10.0)
+    z = al._start_duals(a, g)
+    (row,) = np.flatnonzero(z)
+    assert smap.rb_of_cu[row] == assignment.rb_of_pair[0]
+    assert z[row] == water_filling_dual(a[row], g[0])
+    _, x = al._water_fill(z, a, g.ravel())
+    assert np.all(x < 1.0)
+    assert a[row] @ x == pytest.approx(1.0, abs=1e-12)
+
+
+def test_start_duals_add_on_a_shared_row():
+    """Two pairs whose heaviest row is the same: that row takes the sum of
+    both water-filling duals, and the cap rows stay at 0."""
+    a = np.array([[3.0, 3.0, 3.0, 3.0],
+                  [1.0, 1.0, 0.0, 0.0],
+                  [0.0, 0.0, 1.0, 1.0]])
+    g = np.array([[2.0, 4.0], [1.0, 8.0]])
+    z = al._start_duals(a, g)
+    assert z[0] == pytest.approx(water_filling_dual(a[0, :2], g[0])
+                                 + water_filling_dual(a[0, 2:], g[1]),
+                                 rel=1e-15)
+    assert np.all(z[1:] == 0.0)
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """Every power_loading result of the test, in call order."""
+    recorded = []
+    power_loading = al.power_loading
+
+    def recording_power_loading(*args, **kwargs):
+        res = power_loading(*args, **kwargs)
+        recorded.append(res)
+        return res
+
+    monkeypatch.setattr(al, "power_loading", recording_power_loading)
+    return recorded
+
+
+@pytest.mark.parametrize("layout", list(d.Layout))
+def test_start_duals_keep_newton_phase_short(tables, solves, layout):
+    """From the water-filling start against each pair's heaviest row, a
+    default campaign's solves all end OPTIMAL in a median of at most 8
+    Newton steps (16 from a start with every CU dual at 0)."""
+    cfg = d.with_updates(d.ScenarioConfig(), seed=5000, iterations=20,
+                         layout=layout)
+    d.run_campaign(cfg, tables)
+    assert len(solves) == 40
+    assert all(res.status is al.SolverStatus.OPTIMAL for res in solves)
+    assert np.median([res.iterations_used for res in solves]) <= 8
+
+
+def test_newton_steps_bounded_on_stall_campaign(tables, solves,
+                                                monkeypatch):
     """In this campaign the OFDM solve of snapshot 5 stalls a Newton phase
     whose Armijo test differences two rounded dual values (9,999 steps when
     unbounded): every solve must end OPTIMAL within MAX_NEWTON_STEPS, with
     no L-BFGS-B call behind it."""
-    solves = []
-    power_loading = al.power_loading
-
     def no_minimize(*args, **kwargs):
         raise AssertionError("power_loading must not call scipy's minimize")
 
-    def recording_power_loading(*args, **kwargs):
-        res = power_loading(*args, **kwargs)
-        solves.append(res)
-        return res
-
     monkeypatch.setattr(al, "minimize", no_minimize)
-    monkeypatch.setattr(al, "power_loading", recording_power_loading)
     cfg = d.with_updates(d.ScenarioConfig(), seed=2000085, iterations=20)
     d.run_campaign(cfg, tables)
     assert len(solves) == 40
@@ -310,10 +390,9 @@ def test_newton_steps_bounded_on_stall_campaign(tables, monkeypatch):
         assert res.iterations_used <= al.MAX_NEWTON_STEPS
 
 
-def lbfgsb_reference(assignment, gains, tables, smap, cfg, kind):
-    """Oracle: the optimum of the same normalized dual, minimized by scipy's
-    L-BFGS-B from z = 0 to a tight tolerance (strong duality makes it the
-    primal optimum)."""
+def normalized_problem(assignment, gains, tables, smap, cfg, kind):
+    """The solver's constraint matrix A (CU rows, then one cap row per pair)
+    and gains g shaped (pairs, S), rebuilt from the module's definitions."""
     smap = smap.with_assignment(assignment.rb_of_pair)
     num_pairs, s = len(assignment.rb_of_pair), smap.subcarriers_per_rb
     zero = itf.PowerAllocation(p_d2d=np.zeros((num_pairs, s)),
@@ -324,8 +403,15 @@ def lbfgsb_reference(assignment, gains, tables, smap, cfg, kind):
     a = np.vstack([c.reshape(len(t), -1) * p_max / t[:, None],
                    np.kron(np.eye(num_pairs), np.ones(s))])
     i_cu = itf.i_cu_matrix(gains, zero, tables[(OFDM, kind)], smap)
-    g = (p_max * gains.h_self[:, None]
-         / (cfg.noise_per_subcarrier_w + i_cu)).ravel()
+    return a, p_max * gains.h_self[:, None] / (cfg.noise_per_subcarrier_w + i_cu)
+
+
+def lbfgsb_reference(assignment, gains, tables, smap, cfg, kind):
+    """Oracle: the optimum of the same normalized dual, minimized by scipy's
+    L-BFGS-B from z = 0 to a tight tolerance (strong duality makes it the
+    primal optimum)."""
+    a, g = normalized_problem(assignment, gains, tables, smap, cfg, kind)
+    g = g.ravel()
 
     def dual(z):
         x = np.clip(1.0 / np.maximum(z @ a, 1e-300) - 1.0 / g, 0.0, 1.0)

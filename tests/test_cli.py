@@ -120,6 +120,44 @@ def test_invalid_config_value_exits_4(capsys, tmp_path):
     assert err.startswith("error:")
 
 
+def _config_with(tmp_path, line):
+    """A config file with one more ``key = value`` line, which overrides the
+    saved value and bypasses ScenarioConfig's own validation."""
+    path = tmp_path / "scenario.cfg"
+    d.save_config(d.with_updates(d.ScenarioConfig(), iterations=3), path)
+    path.write_text(path.read_text() + line + "\n")
+    return str(path)
+
+
+def test_validate_rejects_nan_cell_radius(capsys, tmp_path):
+    path = _config_with(tmp_path, "cell_radius = nan")
+    code, out, err = _run(capsys, ["validate", "--config", path])
+    assert code == cli.EXIT_INVARIANT
+    assert out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "cell_radius" in err
+
+
+def test_run_rejects_nan_cu_min_sinr(capsys, fast_tables, tmp_path):
+    path = _config_with(tmp_path, "cu_min_sinr = nan")
+    out = tmp_path / "out"
+    code, _, err = _run(capsys, ["run", "--config", path, "--out", str(out)])
+    assert code == cli.EXIT_INVARIANT
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "cu_min_sinr" in err
+    assert not (out / "samples.csv").exists()
+
+
+def test_sweep_rejects_nan_cluster_radius(capsys, config_path, fast_tables,
+                                          tmp_path):
+    code, _, err = _run(capsys, ["sweep", "--config", config_path,
+                                 "--parameter", "cluster_radius",
+                                 "--values", "nan", "--out", str(tmp_path)])
+    assert code == cli.EXIT_INVARIANT
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert not (tmp_path / "sweep.csv").exists()
+
+
 def test_sweep_invariant_exits_4(capsys, config_path, fast_tables, tmp_path):
     code, _, err = _run(capsys, ["sweep", "--config", config_path,
                                  "--parameter", "cluster_radius",

@@ -1,4 +1,5 @@
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -26,6 +27,17 @@ def test_config_rejects_structural_violations():
         d.with_updates(d.ScenarioConfig(), cell_radius=-1.0)
     with pytest.raises(d.ConfigurationError):
         d.with_updates(d.ScenarioConfig(), iterations=0)
+
+
+FLOAT_FIELDS = [f.name for f in fields(d.ScenarioConfig)
+                if f.type.startswith("float")]
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("name", FLOAT_FIELDS)
+def test_config_rejects_non_finite_floats(name, value):
+    with pytest.raises(d.ConfigurationError, match=name):
+        d.with_updates(d.ScenarioConfig(), **{name: value})
 
 
 def test_fixed_radius_containment(rng):
