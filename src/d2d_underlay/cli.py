@@ -86,19 +86,10 @@ def _out_dir(args):
 
 
 def _load_config(path, seed_override):
-    try:
-        config = geo.load_config(path)
-    except OSError as exc:
-        raise ConfigError("cannot read config %s: %s" % (path, exc))
-    except ConfigurationError:
-        raise
+    config = geo.load_config(path)
     if seed_override is not None:
         config = geo.with_updates(config, seed=seed_override)
     return config
-
-
-class ConfigError(Exception):
-    pass
 
 
 def _build_tables(method=wf.TIME_SIM, fft_size=512, offsets=400,
@@ -142,7 +133,6 @@ def _cmd_run(args):
 
 def _cmd_sweep(args):
     config = _load_config(args.config, args.seed)
-    out = _out_dir(args)
     parameter = sim.SweepParameter[args.parameter.upper()]
     try:
         values = [float(v) for v in args.values.split(",") if v.strip()]
@@ -150,6 +140,8 @@ def _cmd_sweep(args):
         raise UsageError("bad --values: %s" % exc)
     if not values:
         raise UsageError("--values must list at least one value")
+    sim.sweep_configs(config, parameter, values)
+    out = _out_dir(args)
     tables = _build_tables()
     points = sim.sweep(config, parameter, values, tables, jobs=args.jobs)
     sim.write_sweep_csv(parameter, points, os.path.join(out, "sweep.csv"))
@@ -189,9 +181,6 @@ def main(argv=None):
     except UsageError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
-    except ConfigError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_CONFIG
     except (ConfigurationError, wf.TableValidationError, wf.TableFormatError,
             sim.EmptyReportError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)

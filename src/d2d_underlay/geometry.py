@@ -83,6 +83,13 @@ class ScenarioConfig:
             raise ConfigurationError("cluster_radius_fixed must be positive")
         if self.cluster_distance_fixed is not None and self.cluster_distance_fixed < 0:
             raise ConfigurationError("cluster_distance_fixed must be >= 0")
+        if self.layout is Layout.CLUSTERED and self.cluster_radius_fixed is not None:
+            radius, distance = self.cluster_radius_fixed, self.cluster_distance_fixed
+            if radius + (distance or 0.0) > self.cell_radius:
+                where = "" if distance is None else " at distance %.1f m" % distance
+                raise ConfigurationError(
+                    "cluster of radius %.1f m%s does not fit in cell radius "
+                    "%.1f m" % (radius, where, self.cell_radius))
         if self.iterations < 1:
             raise ConfigurationError("iterations must be >= 1")
         return self

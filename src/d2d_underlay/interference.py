@@ -75,12 +75,11 @@ def _offset_index(smap, rb_victim, rb_interferer):
 
 def d2d_to_cu_coefficients(gains, table, smap):
     """Leakage at the BS, in W per W, of pair j's subcarrier m into CU i's RB
-    as ``c[i, j, m] = h_jB * sum_k I(|k - m|) / P0`` over CU i's subcarriers
+    as ``c[i, j, m] = h_jB * sum_k I(|k - m|)`` over CU i's subcarriers
     k; the table must be D2D-waveform -> OFDM."""
     kern = table.band_kernels(smap.num_rbs, smap.subcarriers_per_rb)
     d = _offset_index(smap, smap.rb_of_cu[:, None], smap.rb_of_d2d[None, :])
-    return (gains.h_d2d_bs[None, :, None] * kern.by_interferer[d]
-            / table.reference_power)
+    return gains.h_d2d_bs[None, :, None] * kern.by_interferer[d]
 
 
 def cu_sinr_all(gains, powers, tables, smap, noise_sc, d2d_kind=None):
@@ -103,8 +102,7 @@ def i_cu_matrix(gains, powers, table, smap):
     d = _offset_index(smap, smap.rb_of_d2d[None, :], smap.rb_of_cu[:, None])
     w = kern.by_victim[d]                         # (CU, pair, m)
     p_sc = powers.p_cu / smap.subcarriers_per_rb
-    return np.einsum("ij,i,ijm->jm", gains.h_cu_d2d, p_sc,
-                     w) / table.reference_power
+    return np.einsum("ij,i,ijm->jm", gains.h_cu_d2d, p_sc, w)
 
 
 def i_d2d_matrix(gains, powers, table, smap):
@@ -115,8 +113,7 @@ def i_d2d_matrix(gains, powers, table, smap):
     w = kern.sub[d]                               # (j, d, n, m): interferer n -> victim m
     h = gains.h_d2d_d2d.copy()
     np.fill_diagonal(h, 0.0)                      # a pair does not jam itself
-    out = np.einsum("jd,dn,jdnm->jm", h, powers.p_d2d, w)
-    return out / table.reference_power
+    return np.einsum("jd,dn,jdnm->jm", h, powers.p_d2d, w)
 
 
 def d2d_sinr_matrices(gains, powers, tables, smap, noise_sc, d2d_kind):
@@ -137,6 +134,5 @@ def cu_to_d2d_cost_matrix(gains, powers, table, smap):
     d = _offset_index(smap, rbs[None, :], smap.rb_of_cu[:, None])
     w = kern.band[d]                              # (CU, RB)
     p_sc = powers.p_cu / smap.subcarriers_per_rb
-    return np.einsum("ij,i,ir->jr", gains.h_cu_d2d, p_sc,
-                     w) / table.reference_power
+    return np.einsum("ij,i,ir->jr", gains.h_cu_d2d, p_sc, w)
 

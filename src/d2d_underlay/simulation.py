@@ -185,10 +185,11 @@ def build_report(results, iterations):
                       cdf=cdf, summary=summary, results=results)
 
 
-def sweep(config, parameter, values, tables, jobs=0):
-    """One campaign per parameter value; returns a list of (value, report)."""
-    out = []
-    for idx, value in enumerate(values):
+def sweep_configs(config, parameter, values):
+    """The config of every sweep point, so that a bad point fails before any
+    campaign runs."""
+    configs = []
+    for value in values:
         try:
             if parameter is SweepParameter.NUM_PAIRS:
                 if not float(value).is_integer():
@@ -202,6 +203,15 @@ def sweep(config, parameter, values, tables, jobs=0):
         except ConfigurationError as exc:
             raise ConfigurationError(
                 "sweep point %s = %s: %s" % (parameter.value, value, exc))
+        configs.append(cfg)
+    return configs
+
+
+def sweep(config, parameter, values, tables, jobs=0):
+    """One campaign per parameter value; returns a list of (value, report)."""
+    out = []
+    for idx, (value, cfg) in enumerate(
+            zip(values, sweep_configs(config, parameter, values))):
         # distinct but reproducible seed per point, shared across cases
         report = run_campaign(cfg, tables, seed=config.seed + 7919 * idx,
                                jobs=jobs)

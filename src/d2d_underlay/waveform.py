@@ -147,46 +147,36 @@ class BandKernels:
     band: np.ndarray
 
 
-@dataclass
+@dataclass(eq=False)
 class InterferenceTable:
-    """Mean leakage coefficients I(l) over spectral distance l in [-L, L].
+    """Mean leakage coefficients I(l) in W per W of interferer power.
 
-    Coefficients are power ratios relative to ``reference_power`` (1 W per
-    subcarrier by convention); leakage beyond ``half_span`` is truncated to 0.
+    ``coeffs`` holds I(0..L), L = ``half_span``; I(-l) = I(l), and leakage
+    beyond the half span is truncated to 0.
     """
 
     interferer: WaveformKind
     victim: WaveformKind
-    half_span: int
-    coeffs: dict
-    reference_power: float = 1.0
+    coeffs: np.ndarray
     method: str = PSD
-    _kernel_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _kernel_cache: dict = field(default_factory=dict, repr=False)
+
+    @property
+    def half_span(self):
+        return self.coeffs.size - 1
 
     def coeff(self, l):
         """I(l); zero beyond the half span by definition."""
-        return self.coeffs.get(int(l), 0.0)
+        l = abs(int(l))
+        return float(self.coeffs[l]) if l <= self.half_span else 0.0
 
     def validate(self):
-        L = self.half_span
-        if L < 1:
+        if self.half_span < 1:
             raise TableValidationError("half_span must be >= 1")
-        missing = [l for l in range(-L, L + 1) if l not in self.coeffs]
-        if missing:
-            raise TableValidationError(
-                "coefficient map has gaps at l=%s" % (missing[:5],))
-        extra = set(self.coeffs) - set(range(-L, L + 1))
-        if extra:
-            raise TableValidationError(
-                "coefficients outside [-L, L]: %s" % (sorted(extra)[:5],))
-        for l, v in self.coeffs.items():
-            if v < 0.0:
-                raise TableValidationError("I(%d) = %r is negative" % (l, v))
-        for l in range(1, L + 1):
-            if abs(self.coeffs[l] - self.coeffs[-l]) >= 1e-9:
-                raise TableValidationError("table not symmetric at l=%d" % l)
-        if self.reference_power <= 0.0:
-            raise TableValidationError("reference_power must be positive")
+        bad = np.flatnonzero(~(np.isfinite(self.coeffs) & (self.coeffs >= 0.0)))
+        if bad.size:
+            raise TableValidationError("I(l) is negative or not finite at l=%s"
+                                       % bad[:5].tolist())
         return self
 
     def band_kernels(self, num_rbs, subcarriers_per_rb):
@@ -210,11 +200,8 @@ class InterferenceTable:
         m = np.arange(S)
         k = np.arange(S)
         dist = np.abs(S * d[:, None, None] + k[None, None, :] - m[None, :, None])
-        L = self.half_span
-        flat = np.zeros(dist.max() + 1)
-        for l in range(0, L + 1):
-            if l < flat.size:
-                flat[l] = self.coeffs.get(l, 0.0)
+        flat = np.zeros(max(dist.max() + 1, self.coeffs.size))
+        flat[:self.coeffs.size] = self.coeffs
         sub = flat[dist]
         out = BandKernels(sub=sub, by_interferer=sub.sum(axis=2),
                           by_victim=sub.sum(axis=1), band=sub.sum(axis=(1, 2)))
@@ -277,7 +264,8 @@ def table_from_time_sim(interferer, victim, filt, half_span,
     ``l in [-half_span, half_span]`` under timing offsets drawn uniformly over
     one victim symbol duration (integer-sample resolution).  The expectation
     over the random symbols and over the interferer's carrier phase is taken
-    in closed form, so only the offsets are sampled.  Deterministic for a
+    in closed form, so only the offsets are sampled, and the sum over
+    interferer symbols is a fold by their period.  Deterministic for a
     given seed.
 
     ``timing_offsets`` forces an explicit list of timing offsets (in samples)
@@ -298,7 +286,6 @@ def table_from_time_sim(interferer, victim, filt, half_span,
     pulse, t_int, var_int = _interferer_pulse(interferer, filt)
     ls = np.arange(0, half_span + 1)
     win, t_vic, tau_span, re_factor, useful = _victim_bank(victim, filt, ls)
-    n_win = win.shape[1]
 
     rng = np.random.default_rng(seed)
     if timing_offsets is not None:
@@ -306,29 +293,19 @@ def table_from_time_sim(interferer, victim, filt, half_span,
     else:
         taus = rng.integers(0, tau_span, size=num_offsets)
 
-    V = NUM_VICTIM_SYMBOLS
-    v = np.arange(V)
-    s_lo = int(np.floor(-(pulse.size - 1 + tau_span) / t_int)) - 1
-    s_hi = int(np.ceil((n_win - 1 + tau_span + V * t_vic) / t_int)) + 1
-    s = np.arange(s_lo, s_hi + 1)
-
+    # Interferer symbol s meets victim output v at cross-correlation index
+    # len(window) - 1 + tau + v*t_vic - s*t_int, so the sum over all s reads
+    # every t_int-th entry: one residue of the energy folded by t_int.
     e = _xcorr_energy(pulse, win)
-    acc = np.zeros(half_span + 1)
-    for tau in taus:
-        lags = s[None, :] * t_int - int(tau) - v[:, None] * t_vic
-        k = n_win - 1 - lags
-        valid = (k >= 0) & (k < e.shape[1])
-        idx = np.where(valid, k, 0)
-        vals = e[:, idx.ravel()].reshape(ls.size, *idx.shape) * valid[None]
-        acc += vals.sum(axis=(1, 2)) / V
-    acc *= re_factor * var_int / (useful * taus.size)
-
-    coeffs = {0: float(acc[0])}
-    for l in range(1, half_span + 1):
-        coeffs[l] = coeffs[-l] = float(acc[l])
+    e = np.pad(e, ((0, 0), (0, -e.shape[1] % t_int)))
+    folded = e.reshape(ls.size, -1, t_int).sum(axis=1)
+    v = np.arange(NUM_VICTIM_SYMBOLS)
+    k = win.shape[1] - 1 + taus[:, None] + v[None, :] * t_vic
+    hits = np.bincount((k % t_int).ravel(), minlength=t_int)
+    acc = folded @ hits
+    acc *= re_factor * var_int / (useful * NUM_VICTIM_SYMBOLS * taus.size)
     return InterferenceTable(interferer=interferer, victim=victim,
-                             half_span=half_span, coeffs=coeffs,
-                             reference_power=1.0, method=TIME_SIM).validate()
+                             coeffs=acc, method=TIME_SIM).validate()
 
 
 def table_from_psd(interferer, victim, filt, half_span):
@@ -336,13 +313,11 @@ def table_from_psd(interferer, victim, filt, half_span):
 
     The per-subcarrier PSD is |FFT of the symbol pulse|^2 on a fine grid;
     I(l) integrates it over the victim subcarrier band at offset l, with the
-    whole PSD normalised to ``reference_power`` = 1.  The victim's receive
-    filtering is deliberately ignored (this is the approximate baseline):
+    whole PSD normalised to 1.  The victim's receive filtering is
+    deliberately ignored (this is the approximate baseline):
     for FBMC/OQAM at |l| = 1 it is about 33% below the receiver model of
     :func:`table_from_time_sim`.
     """
-    if half_span < 1:
-        raise ValueError("half_span must be >= 1")
     N = filt.fft_size
     if interferer.kind is WaveformType.OFDM:
         pulse = np.ones(N + int(round(interferer.cp_ratio * N)))
@@ -351,15 +326,11 @@ def table_from_psd(interferer, victim, filt, half_span):
     m = PSD_PAD_FACTOR * N
     psd = np.abs(np.fft.fft(pulse, m)) ** 2
     f = np.fft.fftfreq(m) * N    # frequency in subcarrier spacings
-    total = psd.sum()
-    coeffs = {}
-    for l in range(0, half_span + 1):
-        band = (f > l - 0.5) & (f <= l + 0.5)
-        val = float(psd[band].sum() / total)
-        coeffs[l] = coeffs[-l] = val
+    bands = [psd[(f > l - 0.5) & (f <= l + 0.5)].sum()
+             for l in range(half_span + 1)]
     return InterferenceTable(interferer=interferer, victim=victim,
-                             half_span=half_span, coeffs=coeffs,
-                             reference_power=1.0, method=PSD).validate()
+                             coeffs=np.array(bands) / psd.sum(),
+                             method=PSD).validate()
 
 
 def build_all_tables(filt, method=TIME_SIM, half_span=DEFAULT_HALF_SPAN,
@@ -383,13 +354,13 @@ def build_all_tables(filt, method=TIME_SIM, half_span=DEFAULT_HALF_SPAN,
 # ---------------------------------------------------------------------------
 
 def save_table(table, path):
-    """Write a table as CSV: one header line, then ``l,value`` rows."""
+    """Write a table as CSV: one header line ending in the reference power 1,
+    then ``l,value`` rows for both signs of ``l``."""
     table.validate()
-    lines = ["# %s,%s,%s,%d,%s" % (table.interferer.name, table.victim.name,
-                                   table.method, table.half_span,
-                                   "%.17g" % table.reference_power)]
+    lines = ["# %s,%s,%s,%d,1" % (table.interferer.name, table.victim.name,
+                                  table.method, table.half_span)]
     for l in range(-table.half_span, table.half_span + 1):
-        lines.append("%d,%.17g" % (l, table.coeffs[l]))
+        lines.append("%d,%.17g" % (l, table.coeffs[abs(l)]))
     atomic_write(path, "\n".join(lines) + "\n")
 
 
@@ -401,7 +372,8 @@ def _parse_kind(token, line):
 
 
 def load_table(path):
-    """Parse a table CSV written by :func:`save_table` and validate it."""
+    """Parse a table CSV written by :func:`save_table`, check it and divide
+    its coefficients by the header's reference power."""
     with open(path) as fh:
         raw = fh.read().splitlines()
     if not raw or not raw[0].startswith("#"):
@@ -414,10 +386,13 @@ def load_table(path):
     if head[2] not in (PSD, TIME_SIM):
         raise TableFormatError("unknown method %r" % head[2], 1, 3)
     try:
-        half_span = int(head[3])
+        L = int(head[3])
         ref_power = float(head[4])
     except ValueError as exc:
         raise TableFormatError(str(exc), 1, 4)
+    if not (math.isfinite(ref_power) and ref_power > 0.0):
+        raise TableValidationError(
+            "reference power must be finite and positive, got %r" % ref_power)
     coeffs = {}
     for ln, row in enumerate(raw[1:], start=2):
         if not row.strip():
@@ -437,7 +412,11 @@ def load_table(path):
         if l in coeffs:
             raise TableFormatError("duplicate entry for l=%d" % l, ln, 1)
         coeffs[l] = val
-    table = InterferenceTable(interferer=interferer, victim=victim,
-                              half_span=half_span, coeffs=coeffs,
-                              reference_power=ref_power, method=head[2])
-    return table.validate()
+    if sorted(coeffs) != list(range(-L, L + 1)):
+        raise TableValidationError("rows must list every l in [%d, %d]" % (-L, L))
+    for l in range(1, L + 1):
+        if abs(coeffs[l] - coeffs[-l]) >= 1e-9:
+            raise TableValidationError("table not symmetric at l=%d" % l)
+    one_sided = np.array([coeffs[l] for l in range(L + 1)]) / ref_power
+    return InterferenceTable(interferer=interferer, victim=victim,
+                             coeffs=one_sided, method=head[2]).validate()

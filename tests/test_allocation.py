@@ -146,8 +146,8 @@ def test_power_loading_symmetric_instance_uniform(tables):
         los_cu_d2d=np.array([[True]]), los_d2d_d2d=np.array([[True]]))
     # flat table: every spectral distance leaks the same fraction
     flat = wf.InterferenceTable(
-        interferer=wf.OFDM, victim=wf.OFDM, half_span=S,
-        coeffs={l: 1.0 / (2 * S + 1) for l in range(-S, S + 1)}).validate()
+        interferer=wf.OFDM, victim=wf.OFDM,
+        coeffs=np.full(S + 1, 1.0 / (2 * S + 1))).validate()
     flat_tables = {k: flat for k in tables}
     smap = itf.SpectrumMap(rb_of_cu=np.array([0]), num_rbs=1,
                            subcarriers_per_rb=S).validate()

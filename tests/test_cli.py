@@ -1,10 +1,11 @@
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import d2d_underlay as d
-from d2d_underlay import cli, waveform as wf
+from d2d_underlay import cli, simulation as sim, waveform as wf
 
 DATA = Path(__file__).parent / "data"
 
@@ -112,6 +113,51 @@ def test_tables_out_is_a_file_exits_3(capsys, tmp_path):
     assert blocker.read_text() == ""
 
 
+@pytest.fixture
+def campaigns(monkeypatch):
+    """Records every campaign started, so a test can assert that none ran."""
+    started = []
+    run = sim.run_campaign
+
+    def record(config, *args, **kwargs):
+        started.append(config)
+        return run(config, *args, **kwargs)
+    monkeypatch.setattr(sim, "run_campaign", record)
+    return started
+
+
+def test_config_is_a_directory_exits_3(capsys, fast_tables, campaigns,
+                                       tmp_path):
+    code, _, err = _run(capsys, ["run", "--config", str(tmp_path),
+                                 "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_CONFIG
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert campaigns == []
+
+
+def test_run_out_is_a_file_exits_3(capsys, config_path, fast_tables,
+                                   campaigns, tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code, _, err = _run(capsys, ["run", "--config", config_path,
+                                 "--out", str(blocker)])
+    assert code == cli.EXIT_CONFIG
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert campaigns == []
+    assert blocker.read_text() == ""
+
+
+def test_sweep_out_below_a_file_exits_3(capsys, config_path, fast_tables,
+                                        tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code, _, err = _run(capsys, ["sweep", "--config", config_path,
+                                 "--parameter", "num_pairs", "--values", "3",
+                                 "--out", str(blocker / "sub")])
+    assert code == cli.EXIT_CONFIG
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
 def test_invalid_config_value_exits_4(capsys, tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("num_d2d_pairs = -3\n")
@@ -166,6 +212,20 @@ def test_sweep_invariant_exits_4(capsys, config_path, fast_tables, tmp_path):
     assert "300" in err
 
 
+def test_sweep_checks_every_point_before_any_work(capsys, config_path,
+                                                  fast_tables, campaigns,
+                                                  tmp_path):
+    out = tmp_path / "newdir"
+    code, _, err = _run(capsys, ["sweep", "--config", config_path,
+                                 "--parameter", "cluster_radius",
+                                 "--values", "70,300", "--out", str(out)])
+    assert code == cli.EXIT_INVARIANT
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "sweep point CLUSTER_RADIUS = 300" in err
+    assert campaigns == []
+    assert not out.exists()
+
+
 def test_non_integral_num_pairs_exits_4(capsys, config_path, fast_tables,
                                         tmp_path):
     code, _, err = _run(capsys, ["sweep", "--config", config_path,
@@ -214,7 +274,7 @@ def test_tables_roundtrip(capsys, tmp_path, method, span, offsets, pairs):
         assert set(written) == keys
         assert all(t.half_span == span for t in written.values())
         assert [key for key, t in written.items()
-                if t.coeffs != built[key].coeffs] == []
+                if not np.array_equal(t.coeffs, built[key].coeffs)] == []
 
 
 def test_run_outputs_and_determinism(capsys, config_path, fast_tables, tmp_path):
@@ -263,6 +323,28 @@ def test_validate_rejects_corrupt_table(capsys, config_path, tmp_path):
                                  "--tables", str(tmp_path)])
     assert code == cli.EXIT_INVARIANT
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_validate_rejects_non_finite_table(capsys, config_path, tmp_path,
+                                           value):
+    rows = ["# OFDM,OFDM,PSD,2,1"] + ["%d,%s" % (l, value if abs(l) == 2
+                                                 else "0.1")
+                                      for l in range(-2, 3)]
+    (tmp_path / "t.csv").write_text("\n".join(rows) + "\n")
+    code, out, err = _run(capsys, ["validate", "--config", config_path,
+                                   "--tables", str(tmp_path)])
+    assert code == cli.EXIT_INVARIANT
+    assert out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("method", ["psd", "time"])
+def test_tables_negative_span_exits_4(capsys, tmp_path, method):
+    code, _, err = _run(capsys, ["tables", "--method", method, "--span", "-1",
+                                 "--fft-size", "128", "--out", str(tmp_path)])
+    assert code == cli.EXIT_INVARIANT
+    assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
 def test_output_dir_env_var(capsys, config_path, fast_tables, tmp_path,

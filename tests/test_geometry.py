@@ -50,9 +50,22 @@ def test_fixed_radius_containment(rng):
 
 
 def test_cluster_radius_exceeding_cell_rejected(rng):
-    cfg = d.with_updates(d.ScenarioConfig(), cluster_radius_fixed=251.0)
     with pytest.raises(d.ConfigurationError):
+        cfg = d.with_updates(d.ScenarioConfig(), cluster_radius_fixed=251.0)
         d.sample_placement(cfg, rng)
+
+
+def test_config_rejects_cluster_beyond_cell():
+    base = d.ScenarioConfig()
+    with pytest.raises(d.ConfigurationError, match="radius 300.0 m"):
+        d.with_updates(base, cluster_radius_fixed=300.0)
+    with pytest.raises(d.ConfigurationError, match="distance 200.0 m"):
+        d.with_updates(base, cluster_radius_fixed=60.0,
+                       cluster_distance_fixed=200.0)
+    d.with_updates(base, cluster_radius_fixed=60.0, cluster_distance_fixed=190.0)
+    # without a cluster the radius only sets the longest D2D link
+    d.with_updates(base, layout=geo.Layout.NON_CLUSTERED,
+                   cluster_radius_fixed=300.0)
 
 
 def test_cu_positions_area_uniform(rng):

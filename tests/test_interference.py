@@ -40,7 +40,7 @@ def brute_i_cu(j, m, gains, powers, table, smap):
             kk = smap.rb_of_cu[i] * S + k
             tot += (gains.h_cu_d2d[i, j] * (powers.p_cu[i] / S)
                     * table.coeff(abs(km - kk)))
-    return tot / table.reference_power
+    return tot
 
 
 def brute_i_d2d(j, m, gains, powers, table, smap):
@@ -54,7 +54,7 @@ def brute_i_d2d(j, m, gains, powers, table, smap):
             kn = smap.rb_of_d2d[dd] * S + n
             tot += (gains.h_d2d_d2d[j, dd] * powers.p_d2d[dd, n]
                     * table.coeff(abs(km - kn)))
-    return tot / table.reference_power
+    return tot
 
 
 def brute_omega(j, i, gains, powers, table, smap):
@@ -65,7 +65,7 @@ def brute_omega(j, i, gains, powers, table, smap):
             km = smap.rb_of_d2d[j] * S + m
             kk = smap.rb_of_cu[i] * S + k
             tot += powers.p_d2d[j, m] * table.coeff(abs(kk - km))
-    return gains.h_d2d_bs[j] * tot / table.reference_power
+    return gains.h_d2d_bs[j] * tot
 
 
 def brute_cost(j, r, gains, powers, table, smap):
@@ -77,7 +77,7 @@ def brute_cost(j, r, gains, powers, table, smap):
                 tot += (gains.h_cu_d2d[i, j] * (powers.p_cu[i] / S)
                         * table.coeff(abs(r * S + m
                                           - (smap.rb_of_cu[i] * S + k))))
-    return tot / table.reference_power
+    return tot
 
 
 @pytest.mark.parametrize("kind", [OFDM, FBMC])
