@@ -7,7 +7,7 @@ RB assignment, water-filling power control and campaign/sweep drivers.
 """
 
 from .waveform import (
-    WaveformType, WaveformKind, OFDM, FBMC, parse_waveform,
+    WaveformType, OFDM, FBMC, parse_waveform,
     PrototypeFilter, build_phydyas_filter,
     InterferenceTable, BandKernels, TIME_SIM, PSD,
     table_from_time_sim, table_from_psd, build_all_tables,
@@ -16,8 +16,7 @@ from .waveform import (
 )
 from .geometry import (
     ScenarioConfig, NodePlacement, Layout, ConfigurationError,
-    sample_placement, sample_placement_at_distance,
-    load_config, save_config, with_updates, placement_to_csv,
+    sample_placement, load_config, save_config, with_updates, placement_to_csv,
 )
 from .channel import (
     ChannelGains, los_probability, pathloss_db, gains_from_placement,
@@ -31,7 +30,7 @@ from .interference import (
 from .allocation import (
     Assignment, PowerLoadingResult, SolverStatus, InfeasibleAssignmentError,
     hungarian, cu_constraint_coefficients, power_loading, loading_objective,
-    result_to_json, result_from_json, KKT_TOLERANCE,
+    KKT_TOLERANCE,
 )
 from .simulation import (
     Case, SweepParameter, IterationResult, RateReport, EmptyReportError,

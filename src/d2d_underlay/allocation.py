@@ -9,7 +9,6 @@ the dual.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 
@@ -19,7 +18,6 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment, minimize  # noqa: F401
 
 from . import interference as itf
-from .geometry import atomic_write
 from .waveform import WaveformType
 
 KKT_TOLERANCE = 1e-6
@@ -237,37 +235,3 @@ def loading_objective(powers, gains, tables, smap, config, d2d_kind):
     _, predicted = itf.d2d_sinr_matrices(gains, powers, tables, smap,
                                          config.noise_per_subcarrier_w, d2d_kind)
     return float(np.log1p(predicted).sum())
-
-
-# ---------------------------------------------------------------------------
-# JSON fixtures
-# ---------------------------------------------------------------------------
-
-def result_to_json(assignment, result, path):
-    """Persist an assignment plus solved powers as a regression fixture."""
-    doc = {
-        "rb_of_pair": assignment.rb_of_pair.tolist(),
-        "p_d2d": result.powers.p_d2d.tolist(),
-        "p_cu": result.powers.p_cu.tolist(),
-        "dual_cu": result.dual_cu.tolist(),
-        "dual_cap": result.dual_cap.tolist(),
-        "kkt_residual": result.kkt_residual,
-        "iterations_used": result.iterations_used,
-        "status": result.status.value,
-    }
-    atomic_write(path, json.dumps(doc, indent=1))
-
-
-def result_from_json(path):
-    with open(path) as fh:
-        doc = json.load(fh)
-    assignment = Assignment(rb_of_pair=np.asarray(doc["rb_of_pair"], dtype=int))
-    result = PowerLoadingResult(
-        powers=itf.PowerAllocation(p_d2d=np.asarray(doc["p_d2d"]),
-                                   p_cu=np.asarray(doc["p_cu"])),
-        dual_cu=np.asarray(doc["dual_cu"]),
-        dual_cap=np.asarray(doc["dual_cap"]),
-        kkt_residual=doc["kkt_residual"],
-        iterations_used=doc["iterations_used"],
-        status=SolverStatus(doc["status"]))
-    return assignment, result

@@ -63,7 +63,7 @@ def _build_parser():
     s = sub.add_parser("sweep", help="sweep one parameter, one campaign per value")
     s.add_argument("--config", required=True, help="key = value config file")
     s.add_argument("--parameter", required=True,
-                   choices=["num_pairs", "cluster_radius", "cluster_distance"])
+                   choices=[param.value.lower() for param in sim.SweepParameter])
     s.add_argument("--values", required=True,
                    help="comma-separated list of parameter values")
     s.add_argument("--out", default=None, help="output directory")
@@ -104,7 +104,7 @@ def _cmd_tables(args):
     if args.pair != "all":
         a, _, b = args.pair.partition(":")
         try:
-            keys = [(wf.parse_waveform(a).kind, wf.parse_waveform(b).kind)]
+            keys = [(wf.parse_waveform(a), wf.parse_waveform(b))]
         except wf.UnsupportedParameterError:
             raise UsageError("unknown waveform pair %r" % args.pair)
     out = _out_dir(args)

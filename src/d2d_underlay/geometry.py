@@ -83,8 +83,9 @@ class ScenarioConfig:
             raise ConfigurationError("cluster_radius_fixed must be positive")
         if self.cluster_distance_fixed is not None and self.cluster_distance_fixed < 0:
             raise ConfigurationError("cluster_distance_fixed must be >= 0")
-        if self.layout is Layout.CLUSTERED and self.cluster_radius_fixed is not None:
-            radius, distance = self.cluster_radius_fixed, self.cluster_distance_fixed
+        if self.layout is Layout.CLUSTERED:
+            radius = self.cluster_radius_bound
+            distance = self.cluster_distance_fixed
             if radius + (distance or 0.0) > self.cell_radius:
                 where = "" if distance is None else " at distance %.1f m" % distance
                 raise ConfigurationError(
@@ -107,11 +108,15 @@ class ScenarioConfig:
         return 10.0 ** ((self.cu_tx_power - 30.0) / 10.0)
 
     @property
+    def cluster_radius_bound(self):
+        """The fixed cluster radius, else the top of the random range."""
+        return (self.cluster_radius_max if self.cluster_radius_fixed is None
+                else self.cluster_radius_fixed)
+
+    @property
     def max_link_distance(self):
         """Upper bound on tx-rx separation used by the non-clustered layout."""
-        radius = (self.cluster_radius_fixed if self.cluster_radius_fixed
-                  is not None else self.cluster_radius_max)
-        return self.d2d_max_link_factor * radius
+        return self.d2d_max_link_factor * self.cluster_radius_bound
 
 
 @dataclass
@@ -164,18 +169,6 @@ def _draw_rx(rng, tx, max_link, cell_radius, all_tx):
         "in the cell after %d draws" % (max_link, tx[0], tx[1], _MAX_RESAMPLE))
 
 
-def _cluster_radius(config, rng):
-    if config.cluster_radius_fixed is not None:
-        radius = config.cluster_radius_fixed
-    else:
-        radius = rng.uniform(config.cluster_radius_min, config.cluster_radius_max)
-    if radius > config.cell_radius:
-        raise ConfigurationError(
-            "cluster radius %.1f m does not fit in cell radius %.1f m"
-            % (radius, config.cell_radius))
-    return radius
-
-
 def _assemble(config, rng, centre, radius):
     cu_pos = _uniform_disc(rng, config.cell_radius, size=config.num_cus)
     if centre is not None:
@@ -191,27 +184,21 @@ def _assemble(config, rng, centre, radius):
 
 
 def sample_placement(config, rng):
-    """Draw one topology; the cluster (if any) lies wholly inside the cell."""
+    """Draw one topology.  A cluster's radius is fixed or uniform in
+    [cluster_radius_min, cluster_radius_max]; its centre is uniform over the
+    disc that keeps it in the cell, or at the fixed distance from the BS at
+    a uniform angle (``ScenarioConfig.validate`` makes either fit)."""
     if config.layout is Layout.NON_CLUSTERED:
         return _assemble(config, rng, None, None)
-    if config.cluster_distance_fixed is not None:
-        return sample_placement_at_distance(config, rng,
-                                            config.cluster_distance_fixed)
-    radius = _cluster_radius(config, rng)
-    centre = _uniform_disc(rng, config.cell_radius - radius)
-    return _assemble(config, rng, centre, radius)
-
-
-def sample_placement_at_distance(config, rng, cluster_distance):
-    """As ``sample_placement`` with the cluster centre pinned at the given
-    distance from the BS (angle uniform)."""
-    radius = _cluster_radius(config, rng)
-    if cluster_distance + radius > config.cell_radius:
-        raise ConfigurationError(
-            "cluster at distance %.1f m with radius %.1f m exceeds the cell "
-            "radius %.1f m" % (cluster_distance, radius, config.cell_radius))
-    phi = rng.uniform(0.0, 2.0 * np.pi)
-    centre = cluster_distance * np.array([np.cos(phi), np.sin(phi)])
+    radius = config.cluster_radius_fixed
+    if radius is None:
+        radius = rng.uniform(config.cluster_radius_min, config.cluster_radius_max)
+    if config.cluster_distance_fixed is None:
+        centre = _uniform_disc(rng, config.cell_radius - radius)
+    else:
+        phi = rng.uniform(0.0, 2.0 * np.pi)
+        centre = config.cluster_distance_fixed * np.array([np.cos(phi),
+                                                           np.sin(phi)])
     return _assemble(config, rng, centre, radius)
 
 
@@ -219,24 +206,22 @@ def sample_placement_at_distance(config, rng, cluster_distance):
 # flat key-value config files
 # ---------------------------------------------------------------------------
 
-_FIELD_TYPES = {f.name: f for f in fields(ScenarioConfig)}
+_DEFAULTS = {f.name: f.default for f in fields(ScenarioConfig)}
 
 
 def _coerce(name, text):
+    """Parse ``text`` as the type of the field's default; a ``None``
+    default means a float or ``none``."""
     text = text.strip()
-    if name == "layout":
+    default = _DEFAULTS[name]
+    if isinstance(default, Layout):
         try:
             return Layout[text.upper()]
         except KeyError:
             raise ConfigurationError("unknown layout %r" % text)
-    if name in ("cluster_radius_fixed", "cluster_distance_fixed"):
-        if text.lower() in ("", "none"):
-            return None
-        return float(text)
-    if name in ("num_rbs", "subcarriers_per_rb", "num_cus", "num_d2d_pairs",
-                "iterations", "seed"):
-        return int(text)
-    return float(text)
+    if default is None:
+        return None if text.lower() in ("", "none") else float(text)
+    return type(default)(text)
 
 
 def load_config(path):
@@ -252,7 +237,7 @@ def load_config(path):
                     "%s:%d: expected 'key = value', got %r" % (path, ln, raw.strip()))
             key, _, val = line.partition("=")
             key = key.strip()
-            if key not in _FIELD_TYPES:
+            if key not in _DEFAULTS:
                 raise ConfigurationError("%s:%d: unknown key %r" % (path, ln, key))
             values[key] = _coerce(key, val)
     return ScenarioConfig(**values)

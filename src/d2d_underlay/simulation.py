@@ -79,7 +79,9 @@ def _pair_rates(sinr_matrix, config):
 
 
 def run_iteration(config, tables, seed_stream):
-    """One snapshot, both waveform cases; returns a two-element list."""
+    """One snapshot, both waveform cases; returns a two-element list.  A case
+    whose power loading is skipped (negative CU headroom) is infeasible and
+    has zero rates."""
     rng = np.random.default_rng(seed_stream)
     placement = geo.sample_placement(config, rng)
     gains = ch.gains_from_placement(placement, config, rng)
@@ -100,29 +102,21 @@ def run_iteration(config, tables, seed_stream):
             gains, zero, tables[(WaveformType.OFDM, kind)], smap)
         assignment = al.hungarian(cost)
         solved = al.power_loading(assignment, gains, tables, smap, config, kind)
-        if solved.status is al.SolverStatus.INFEASIBLE_SKIPPED:
-            out.append(IterationResult(case=case, rate_predicted=0.0,
-                                       rate_actual=0.0, feasible=False,
-                                       cluster_radius=radius,
-                                       cluster_distance=distance,
-                                       num_pairs=config.num_d2d_pairs))
-            continue
-        smap_case = smap.with_assignment(assignment.rb_of_pair)
-        actual, predicted = itf.d2d_sinr_matrices(
-            gains, solved.powers, tables, smap_case,
-            config.noise_per_subcarrier_w, kind)
-        out.append(IterationResult(case=case,
-                                   rate_predicted=_pair_rates(predicted, config),
-                                   rate_actual=_pair_rates(actual, config),
-                                   feasible=True,
-                                   cluster_radius=radius,
-                                   cluster_distance=distance,
-                                   num_pairs=config.num_d2d_pairs))
-    # infeasibility is a property of the snapshot, not of the waveform
-    if not all(r.feasible for r in out):
-        for r in out:
-            r.feasible = False
-            r.rate_predicted = r.rate_actual = 0.0
+        # the CU headroom does not depend on the waveform, so a snapshot is
+        # skipped in both cases or in neither
+        feasible = solved.status is not al.SolverStatus.INFEASIBLE_SKIPPED
+        rate_predicted = rate_actual = 0.0
+        if feasible:
+            actual, predicted = itf.d2d_sinr_matrices(
+                gains, solved.powers, tables,
+                smap.with_assignment(assignment.rb_of_pair),
+                config.noise_per_subcarrier_w, kind)
+            rate_predicted = _pair_rates(predicted, config)
+            rate_actual = _pair_rates(actual, config)
+        out.append(IterationResult(
+            case=case, rate_predicted=rate_predicted, rate_actual=rate_actual,
+            feasible=feasible, cluster_radius=radius,
+            cluster_distance=distance, num_pairs=config.num_d2d_pairs))
     return out
 
 

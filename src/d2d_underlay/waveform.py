@@ -58,31 +58,14 @@ class WaveformType(Enum):
     OFDM = "OFDM"
     FBMC_OQAM = "FBMC_OQAM"
 
-
-@dataclass(frozen=True)
-class WaveformKind:
-    """A multicarrier waveform choice plus its cyclic-prefix ratio.
-
-    ``cp_ratio`` is CP length over FFT size; FBMC/OQAM carries no CP.
-    """
-
-    kind: WaveformType
-    cp_ratio: float = 0.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.cp_ratio <= 0.25:
-            raise UnsupportedParameterError(
-                "cp_ratio must lie in [0, 0.25], got %r" % (self.cp_ratio,))
-        if self.kind is WaveformType.FBMC_OQAM and self.cp_ratio != 0.0:
-            raise UnsupportedParameterError("FBMC/OQAM has no cyclic prefix")
-
     @property
-    def name(self):
-        return self.kind.value
+    def cp_ratio(self):
+        """CP length over FFT size; FBMC/OQAM carries no CP."""
+        return DEFAULT_CP_RATIO if self is WaveformType.OFDM else 0.0
 
 
-OFDM = WaveformKind(WaveformType.OFDM, DEFAULT_CP_RATIO)
-FBMC = WaveformKind(WaveformType.FBMC_OQAM, 0.0)
+OFDM = WaveformType.OFDM
+FBMC = WaveformType.FBMC_OQAM
 
 _KIND_ALIASES = {
     "ofdm": OFDM,
@@ -93,7 +76,8 @@ _KIND_ALIASES = {
 
 
 def parse_waveform(token):
-    """Map a user-facing token like ``ofdm`` or ``fbmc`` to a WaveformKind."""
+    """Map a user-facing token like ``ofdm`` or ``fbmc`` to a WaveformType
+    (case and surrounding blanks ignored)."""
     try:
         return _KIND_ALIASES[token.strip().lower()]
     except KeyError:
@@ -149,14 +133,16 @@ class BandKernels:
 
 @dataclass(eq=False)
 class InterferenceTable:
-    """Mean leakage coefficients I(l) in W per W of interferer power.
+    """Mean leakage coefficients I(l) in W per W of interferer power, from
+    an ``interferer`` waveform into a ``victim`` waveform (both
+    WaveformTypes; OFDM carries the LTE CP, FBMC/OQAM none).
 
     ``coeffs`` holds I(0..L), L = ``half_span``; I(-l) = I(l), and leakage
     beyond the half span is truncated to 0.
     """
 
-    interferer: WaveformKind
-    victim: WaveformKind
+    interferer: WaveformType
+    victim: WaveformType
     coeffs: np.ndarray
     method: str = PSD
     _kernel_cache: dict = field(default_factory=dict, repr=False)
@@ -213,7 +199,7 @@ def _interferer_pulse(kind, filt):
     """Baseband single-subcarrier pulse, its symbol period and symbol variance
     such that the transmitted stream has unit average power per sample."""
     N = filt.fft_size
-    if kind.kind is WaveformType.OFDM:
+    if kind is OFDM:
         n_cp = int(round(kind.cp_ratio * N))
         pulse = np.ones(N + n_cp, dtype=complex)
         return pulse, N + n_cp, 1.0
@@ -229,7 +215,7 @@ def _victim_bank(kind, filt, offsets):
     output period, timing-offset span, real-part factor and useful power."""
     N = filt.fft_size
     ls = np.asarray(offsets)
-    if kind.kind is WaveformType.OFDM:
+    if kind is OFDM:
         n_cp = int(round(kind.cp_ratio * N))
         n = np.arange(N)
         win = np.exp(2j * np.pi * ls[:, None] * n[None, :] / N)
@@ -319,7 +305,7 @@ def table_from_psd(interferer, victim, filt, half_span):
     :func:`table_from_time_sim`.
     """
     N = filt.fft_size
-    if interferer.kind is WaveformType.OFDM:
+    if interferer is OFDM:
         pulse = np.ones(N + int(round(interferer.cp_ratio * N)))
     else:
         pulse = filt.impulse_response
@@ -336,16 +322,15 @@ def table_from_psd(interferer, victim, filt, half_span):
 def build_all_tables(filt, method=TIME_SIM, half_span=DEFAULT_HALF_SPAN,
                      num_offsets=400, seed=0):
     """All four (interferer, victim) pairings, keyed by WaveformType pairs."""
-    kinds = (OFDM, FBMC)
     tables = {}
-    for i, a in enumerate(kinds):
-        for j, b in enumerate(kinds):
+    for i, a in enumerate(WaveformType):
+        for j, b in enumerate(WaveformType):
             if method == PSD:
                 t = table_from_psd(a, b, filt, half_span)
             else:
                 t = table_from_time_sim(a, b, filt, half_span, num_offsets,
                                         seed + 7 * i + j)
-            tables[(a.kind, b.kind)] = t
+            tables[(a, b)] = t
     return tables
 
 
@@ -366,8 +351,8 @@ def save_table(table, path):
 
 def _parse_kind(token, line):
     try:
-        return {"OFDM": OFDM, "FBMC_OQAM": FBMC}[token]
-    except KeyError:
+        return WaveformType(token)
+    except ValueError:
         raise TableFormatError("unknown waveform %r" % token, line, 1)
 
 

@@ -245,20 +245,6 @@ def test_power_loading_flags_infeasible_snapshot(tables):
     assert np.all(res.powers.p_d2d == 0)
 
 
-def test_result_json_round_trip(tmp_path, tables):
-    cfg, gains, smap, zero = small_instance(tables)
-    a = al.hungarian(itf.cu_to_d2d_cost_matrix(gains, zero,
-                                               tables[(OFDM, FBMC)], smap))
-    res = al.power_loading(a, gains, tables, smap, cfg, FBMC)
-    path = tmp_path / "fixture.json"
-    al.result_to_json(a, res, path)
-    a2, res2 = al.result_from_json(path)
-    assert np.array_equal(a.rb_of_pair, a2.rb_of_pair)
-    assert np.array_equal(res.powers.p_d2d, res2.powers.p_d2d)
-    assert res2.status is res.status
-    assert res2.kkt_residual == res.kkt_residual
-
-
 def test_kkt_residual_scores_unsolved_dual(tables, monkeypatch):
     """The start water-fills each pair against its heaviest row alone, so
     its primal still overloads some other row of A by more than 1; with no

@@ -1,8 +1,14 @@
+import contextlib
+import io
 import os
+import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import d2d_underlay as d
 from d2d_underlay import cli, simulation as sim, waveform as wf
@@ -204,6 +210,44 @@ def test_sweep_rejects_nan_cluster_radius(capsys, config_path, fast_tables,
     assert not (tmp_path / "sweep.csv").exists()
 
 
+def test_validate_rejects_random_cluster_beyond_cell(capsys, tmp_path):
+    path = _config_with(tmp_path, "cluster_radius_max = 300")
+    code, out, err = _run(capsys, ["validate", "--config", path])
+    assert code == cli.EXIT_INVARIANT
+    assert out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "radius 300.0 m" in err
+
+
+def test_run_rejects_random_cluster_beyond_cell(capsys, fast_tables,
+                                                campaigns, tmp_path):
+    path = _config_with(tmp_path, "cluster_radius_max = 300")
+    out = tmp_path / "out"
+    code, _, err = _run(capsys, ["run", "--config", path, "--out", str(out)])
+    assert code == cli.EXIT_INVARIANT
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert campaigns == []
+    assert not out.exists()
+
+
+@settings(derandomize=True, deadline=None, max_examples=50)
+@given(key=st.from_regex(r"[A-Za-z_][A-Za-z0-9_]*", fullmatch=True).filter(
+    lambda k: k not in {f.name for f in fields(d.ScenarioConfig)}))
+def test_unknown_config_key_exits_4(key):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "c.cfg")
+        d.save_config(d.ScenarioConfig(), path)
+        with open(path, "a") as fh:
+            fh.write("%s = 1\n" % key)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            code = cli.main(["validate", "--config", path])
+    assert code == cli.EXIT_INVARIANT
+    assert err.getvalue().startswith("error:")
+    assert "unknown key %r" % key in err.getvalue()
+
+
 def test_sweep_invariant_exits_4(capsys, config_path, fast_tables, tmp_path):
     code, _, err = _run(capsys, ["sweep", "--config", config_path,
                                  "--parameter", "cluster_radius",
@@ -262,7 +306,7 @@ def test_tables_roundtrip(capsys, tmp_path, method, span, offsets, pairs):
         written = {}
         for path in out.iterdir():
             table = wf.load_table(path)
-            key = (table.interferer.kind, table.victim.kind)
+            key = (table.interferer, table.victim)
             assert path.name == "table_%s_%s.csv" % tuple(
                 k.value.lower() for k in key)
             written[key] = table
@@ -270,7 +314,7 @@ def test_tables_roundtrip(capsys, tmp_path, method, span, offsets, pairs):
             keys = set(built)
         else:
             a, b = pair.split(":")
-            keys = {(wf.parse_waveform(a).kind, wf.parse_waveform(b).kind)}
+            keys = {(wf.parse_waveform(a), wf.parse_waveform(b))}
         assert set(written) == keys
         assert all(t.half_span == span for t in written.values())
         assert [key for key, t in written.items()

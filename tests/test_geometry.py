@@ -1,8 +1,11 @@
 import os
+import tempfile
 from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 import d2d_underlay as d
@@ -63,6 +66,12 @@ def test_config_rejects_cluster_beyond_cell():
         d.with_updates(base, cluster_radius_fixed=60.0,
                        cluster_distance_fixed=200.0)
     d.with_updates(base, cluster_radius_fixed=60.0, cluster_distance_fixed=190.0)
+    # with no fixed radius the largest random radius must fit
+    with pytest.raises(d.ConfigurationError, match="radius 300.0 m"):
+        d.with_updates(base, cluster_radius_max=300.0)
+    with pytest.raises(d.ConfigurationError, match="distance 160.0 m"):
+        d.with_updates(base, cluster_distance_fixed=160.0)  # 160 + 100 > 250
+    d.with_updates(base, cluster_distance_fixed=150.0)
     # without a cluster the radius only sets the longest D2D link
     d.with_updates(base, layout=geo.Layout.NON_CLUSTERED,
                    cluster_radius_fixed=300.0)
@@ -81,12 +90,13 @@ def test_cu_positions_area_uniform(rng):
 
 def test_placement_at_distance(rng):
     cfg = d.with_updates(d.ScenarioConfig(), cluster_radius_fixed=70.0)
-    p = d.sample_placement_at_distance(cfg, rng, 0.0)
+    p = d.sample_placement(d.with_updates(cfg, cluster_distance_fixed=0.0), rng)
     assert np.linalg.norm(p.cluster_centre) == pytest.approx(0.0, abs=1e-12)
-    p = d.sample_placement_at_distance(cfg, rng, 180.0)   # 180 + 70 = 250
+    p = d.sample_placement(d.with_updates(cfg, cluster_distance_fixed=180.0),
+                           rng)                             # 180 + 70 = 250
     assert np.linalg.norm(p.cluster_centre) == pytest.approx(180.0)
     with pytest.raises(d.ConfigurationError):
-        d.sample_placement_at_distance(cfg, rng, 200.0)
+        d.with_updates(cfg, cluster_distance_fixed=200.0)
 
 
 def test_fixed_distance_via_config(rng):
@@ -135,6 +145,47 @@ def test_config_file_round_trip(tmp_path):
     path = tmp_path / "c.cfg"
     d.save_config(cfg, path)
     assert d.load_config(path) == cfg
+
+
+@st.composite
+def scenario_configs(draw):
+    """Valid configs over every ScenarioConfig field."""
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    positive = st.floats(min_value=1e-3, max_value=1e6)
+    cell = draw(positive)
+    r_max = draw(st.floats(min_value=1e-3, max_value=cell))
+    r_fixed = draw(st.none() | st.floats(min_value=1e-3, max_value=cell))
+    radius = r_max if r_fixed is None else r_fixed
+    num_rbs = draw(st.integers(1, 64))
+    values = dict(
+        cell_radius=cell, carrier_freq=draw(positive),
+        subcarrier_spacing=draw(positive), num_rbs=num_rbs,
+        subcarriers_per_rb=draw(st.integers(1, 64)), num_cus=num_rbs,
+        num_d2d_pairs=draw(st.integers(1, num_rbs)),
+        layout=draw(st.sampled_from(geo.Layout)),
+        cluster_radius_min=draw(st.floats(min_value=1e-3, max_value=r_max)),
+        cluster_radius_max=r_max, cluster_radius_fixed=r_fixed,
+        cluster_distance_fixed=draw(
+            st.none() | st.floats(min_value=0.0, max_value=cell - radius)),
+        d2d_max_link_factor=draw(positive), cu_min_sinr=draw(finite),
+        noise_per_subcarrier=draw(finite), max_tx_power=draw(finite),
+        cu_tx_power=draw(finite), iterations=draw(st.integers(1, 10 ** 9)),
+        seed=draw(st.integers(-2 ** 63, 2 ** 63)))
+    assert set(values) == {f.name for f in fields(d.ScenarioConfig)}
+    try:
+        return d.ScenarioConfig(**values)
+    except d.ConfigurationError:
+        # radius + (cell - radius) may round above the cell radius
+        assume(False)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(cfg=scenario_configs())
+def test_config_file_round_trip_every_field(cfg):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "c.cfg")
+        d.save_config(cfg, path)
+        assert d.load_config(path) == cfg
 
 
 def test_config_file_comments_and_errors(tmp_path):
@@ -194,25 +245,17 @@ def _writers(tables):
     rng = np.random.default_rng(5)
     placement = d.sample_placement(cfg, rng)
     gains = d.gains_from_placement(placement, cfg, rng)
-    result = d.PowerLoadingResult(
-        powers=d.PowerAllocation(p_d2d=np.zeros((2, 12)),
-                                 p_cu=d.uniform_cu_powers(cfg)),
-        dual_cu=np.zeros(15), dual_cap=np.zeros(2), kkt_residual=0.0,
-        iterations_used=0, status=d.SolverStatus.OPTIMAL)
     table = next(iter(tables.values()))
     return {
         "save_table": lambda path: d.save_table(table, path),
         "save_config": lambda path: d.save_config(cfg, path),
         "placement_to_csv": lambda path: d.placement_to_csv(placement, path),
         "gains_to_csv": lambda path: d.gains_to_csv(gains, path),
-        "result_to_json": lambda path: d.result_to_json(
-            d.Assignment(np.array([0, 1])), result, path),
     }
 
 
 @pytest.mark.parametrize("name", ["save_table", "save_config",
-                                  "placement_to_csv", "gains_to_csv",
-                                  "result_to_json"])
+                                  "placement_to_csv", "gains_to_csv"])
 def test_writer_failing_midway_keeps_previous_file(name, tables, tmp_path,
                                                    monkeypatch):
     write = _writers(tables)[name]

@@ -130,15 +130,16 @@ def test_output_files(tmp_path, tables):
 
 
 def test_infeasible_iteration_marks_both_cases(tables):
-    # force frequent infeasibility with a harsh SINR floor and look for one
-    cfg = d.with_updates(d.ScenarioConfig(), cu_min_sinr=50.0, iterations=1)
-    found = False
-    for seed in range(60):
-        results = d.run_iteration(cfg, tables, np.random.SeedSequence(seed))
+    # a 47 dB floor skips most default snapshots but not all, so a
+    # waveform-dependent skip would show as a split
+    cfg = d.with_updates(d.ScenarioConfig(), cu_min_sinr=47.0)
+    outcomes = []
+    for stream in np.random.SeedSequence(cfg.seed).spawn(100):
+        results = d.run_iteration(cfg, tables, stream)
         flags = [r.feasible for r in results]
         assert len(set(flags)) == 1          # never split across cases
         if not flags[0]:
-            found = True
-            assert all(r.rate_actual == 0.0 for r in results)
-            break
-    assert found, "no infeasible snapshot found at a 50 dB floor"
+            assert all(r.rate_actual == r.rate_predicted == 0.0
+                       for r in results)
+        outcomes.append(flags[0])
+    assert 0 < sum(outcomes) < len(outcomes), sum(outcomes)

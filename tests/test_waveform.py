@@ -19,12 +19,12 @@ def receiver_filtered_psd(interferer, victim, filt, l, pad_factor=64):
     N = filt.fft_size
     h = filt.impulse_response
     e_h = float(np.sum(h * h))
-    if interferer.kind is wf.WaveformType.OFDM:
+    if interferer is wf.OFDM:
         n_sym = N + int(round(interferer.cp_ratio * N))
         pulse, period, var = np.ones(n_sym), n_sym, 1.0
     else:
         pulse, period, var = h, N // 2, (N / 2.0) / e_h
-    if victim.kind is wf.WaveformType.OFDM:
+    if victim is wf.OFDM:
         window = np.exp(2j * np.pi * l * np.arange(N) / N)
         rho, useful = 1.0, float(N) ** 2
     else:
@@ -57,8 +57,8 @@ def test_time_sim_matches_receiver_filtered_psd(interferer, victim, filt512,
     # the production tables draw 400 random offsets; that only matters for
     # the OFDM interferer, whose seed-to-seed spread at l=1 into an OFDM
     # victim is 3.7% (one standard deviation; 1.7% off at the suite's seed)
-    prod = tables[(interferer.kind, victim.kind)]
-    if interferer.kind is wf.WaveformType.FBMC_OQAM:
+    prod = tables[(interferer, victim)]
+    if interferer is wf.FBMC:
         ls, rel = range(4), 5e-3
     else:
         ls, rel = range(2), 0.10
@@ -137,10 +137,7 @@ def test_phydyas_rejects_unsupported_parameters():
 
 
 def test_waveform_kind_invariants():
-    with pytest.raises(d.UnsupportedParameterError):
-        wf.WaveformKind(wf.WaveformType.OFDM, cp_ratio=0.3)
-    with pytest.raises(d.UnsupportedParameterError):
-        wf.WaveformKind(wf.WaveformType.FBMC_OQAM, cp_ratio=0.1)
+    assert wf.OFDM.cp_ratio == wf.DEFAULT_CP_RATIO
     assert wf.FBMC.cp_ratio == 0.0
     assert d.parse_waveform(" OFDM ") == wf.OFDM
     assert d.parse_waveform("fbmc") == wf.FBMC
