@@ -9,10 +9,12 @@ the dual.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+from scipy.linalg.lapack import dgesv
 # power_loading calls no scipy optimizer; ``minimize`` stays a module name
 # because benchmark/spans.py wraps ``allocation.minimize`` for its traced run
 from scipy.optimize import linear_sum_assignment, minimize  # noqa: F401
@@ -23,6 +25,7 @@ from .waveform import WaveformType
 KKT_TOLERANCE = 1e-6
 MAX_NEWTON_STEPS = 50
 MAX_BACKTRACKS = 30
+_STEP_LENGTHS = (0.5 ** np.arange(MAX_BACKTRACKS)).tolist()
 
 
 class InfeasibleAssignmentError(ValueError):
@@ -104,10 +107,12 @@ def cu_constraint_coefficients(gains, tables, smap, cu_powers, config, d2d_kind)
     return c, thresholds
 
 
-def _water_fill(z, a, g):
-    """Lagrangian maximizer x = clip(1/w - 1/g, 0, 1) at duals z, w = z A."""
+def _water_fill(z, a, inv_g):
+    """Lagrangian maximizer x = clip(1/w - 1/g, 0, 1) at duals z, w = z A,
+    given inv_g = 1/g."""
     w = z @ a
-    return w, np.clip(1.0 / np.maximum(w, 1e-300) - 1.0 / g, 0.0, 1.0)
+    return w, np.minimum(np.maximum(1.0 / np.maximum(w, 1e-300) - inv_g, 0.0),
+                         1.0)
 
 
 def _start_duals(a, g):
@@ -121,9 +126,7 @@ def _start_duals(a, g):
     rows = blocks.sum(axis=2).argmax(axis=0)
     ratio = np.sort(blocks[rows, np.arange(pairs)] / g, axis=1)
     level = ((1.0 + np.cumsum(ratio, axis=1)) / np.arange(1, s + 1)).min(axis=1)
-    z = np.zeros(len(a))
-    np.add.at(z, rows, 1.0 / level)
-    return z
+    return np.bincount(rows, weights=1.0 / level, minlength=len(a))
 
 
 def power_loading(assignment, gains, tables, smap, config, d2d_kind):
@@ -157,7 +160,7 @@ def power_loading(assignment, gains, tables, smap, config, d2d_kind):
     t_safe = np.maximum(thresholds, 1e-300)
     num_cu = len(thresholds)
     chat = c.reshape(num_cu, -1) * p_max / t_safe[:, None]
-    a = np.vstack([chat, np.kron(np.eye(num_pairs), np.ones(s))])
+    a = np.vstack([chat, np.repeat(np.eye(num_pairs), s, axis=1)])
     i_cu = itf.i_cu_matrix(gains, zero, tables[(WaveformType.OFDM, d2d_kind)],
                            smap)
     g = p_max * gains.h_self[:, None] / (config.noise_per_subcarrier_w + i_cu)
@@ -192,7 +195,9 @@ def _projected_newton(z, a, g):
     max |z (1 - A x)| after.  Returns the duals, the rescaled primal, the
     KKT residual and the steps taken.
     """
-    w, x = _water_fill(z, a, g)
+    inv_g = 1.0 / g
+    entry = g / (1.0 + g)
+    w, x = _water_fill(z, a, inv_g)
     lam = 1e-3
     for step in range(MAX_NEWTON_STEPS + 1):
         load = a @ x
@@ -201,21 +206,25 @@ def _projected_newton(z, a, g):
         if kkt < 0.1 * KKT_TOLERANCE or step == MAX_NEWTON_STEPS:
             break
         grad = 1.0 - load
-        eps = min(1e-6, np.linalg.norm(z - np.maximum(z - grad, 0.0)))
+        pg = z - np.maximum(z - grad, 0.0)
+        eps = min(1e-6, math.sqrt(pg @ pg))
         free = (z > eps) | (grad <= 0)
         inside = (x > 0) & (x < 1)
-        a_free = a[free]
+        a_free = a if free.all() else a[free]
         af = a_free[:, inside]
         h = (af / w[inside] ** 2) @ af.T
         diag = h.diagonal().copy()
-        edge = np.clip(w, g / (1.0 + g), g)
-        curv = np.where(diag > 0, diag, (a_free ** 2 / edge ** 2).sum(axis=1))
+        curv = diag.copy()
+        flat = diag <= 0
+        if flat.any():
+            edge = np.minimum(np.maximum(w, entry), g)
+            curv[flat] = (a_free[flat] ** 2 / edge ** 2).sum(axis=1)
         np.fill_diagonal(h, diag + lam * (curv + diag.max(initial=0.0)))
         d = -grad
-        d[free] = np.linalg.solve(h, d[free])
-        for alpha in 0.5 ** np.arange(MAX_BACKTRACKS):
+        d[free] = _solve(h, d[free])
+        for alpha in _STEP_LENGTHS:
             trial = np.maximum(z + alpha * d, 0.0)
-            trial_w, trial_x = _water_fill(trial, a, g)
+            trial_w, trial_x = _water_fill(trial, a, inv_g)
             # D(trial) - D(z) = grad (trial - z) + curvature, with the
             # curvature summed per subcarrier: exact where D's rounding is not
             dx = trial_x - x
@@ -228,6 +237,16 @@ def _projected_newton(z, a, g):
         lam = lam / 4.0 if alpha == 1.0 else lam * 16.0
         z, w, x = trial, trial_w, trial_x
     return z, x / over, float(kkt), step
+
+
+def _solve(h, b):
+    """x with h x = b by LAPACK's LU solver dgesv, called directly, without
+    np.linalg.solve's wrapping.  scipy may link another LAPACK build than
+    numpy, so x can differ from np.linalg.solve's in the last bits."""
+    _, _, x, info = dgesv(h, b)
+    if info != 0:
+        raise np.linalg.LinAlgError("singular matrix (dgesv info %d)" % info)
+    return x
 
 
 def loading_objective(powers, gains, tables, smap, config, d2d_kind):

@@ -73,10 +73,11 @@ def _link_gain(dist, fc, rng):
 def gains_from_placement(placement, config, rng):
     """Draw LOS states and compute all link gains for one topology.
 
-    Draw order is fixed (CU->BS, D2D->BS, CU->D2D, D2D->D2D) so results are
-    reproducible for a given generator state.
+    The LOS states are one block of uniform draws in a fixed order: CU->BS,
+    D2D->BS, CU->D2D (row-major over [i, j]), then D2D->D2D (row-major over
+    [j, d]).  This takes the same stream as one draw per link group in that
+    order, so results are reproducible for a given generator state.
     """
-    fc = config.carrier_freq
     d_cu_bs = np.linalg.norm(placement.cu_pos, axis=1)
     d_d2d_bs = np.linalg.norm(placement.d2d_tx_pos, axis=1)
     # [i, j]: CU i to receiver j
@@ -86,14 +87,18 @@ def gains_from_placement(placement, config, rng):
     d_d2d_d2d = np.linalg.norm(
         placement.d2d_tx_pos[None, :, :] - placement.d2d_rx_pos[:, None, :], axis=2)
 
-    h_cu_bs, los_cu_bs = _link_gain(d_cu_bs, fc, rng)
-    h_d2d_bs, los_d2d_bs = _link_gain(d_d2d_bs, fc, rng)
-    h_cu_d2d, los_cu_d2d = _link_gain(d_cu_d2d, fc, rng)
-    h_d2d_d2d, los_d2d_d2d = _link_gain(d_d2d_d2d, fc, rng)
-    return ChannelGains(h_cu_bs=h_cu_bs, h_d2d_bs=h_d2d_bs,
-                        h_cu_d2d=h_cu_d2d, h_d2d_d2d=h_d2d_d2d,
-                        los_cu_bs=los_cu_bs, los_d2d_bs=los_d2d_bs,
-                        los_cu_d2d=los_cu_d2d, los_d2d_d2d=los_d2d_d2d)
+    groups = (d_cu_bs, d_d2d_bs, d_cu_d2d, d_d2d_d2d)
+    gain, los = _link_gain(np.concatenate([d.ravel() for d in groups]),
+                           config.carrier_freq, rng)
+    h, s, start = [], [], 0
+    for d in groups:
+        end = start + d.size
+        h.append(gain[start:end].reshape(d.shape))
+        s.append(los[start:end].reshape(d.shape))
+        start = end
+    return ChannelGains(h_cu_bs=h[0], h_d2d_bs=h[1], h_cu_d2d=h[2],
+                        h_d2d_d2d=h[3], los_cu_bs=s[0], los_d2d_bs=s[1],
+                        los_cu_d2d=s[2], los_d2d_d2d=s[3])
 
 
 def gains_to_csv(gains, path):

@@ -93,6 +93,8 @@ class ScenarioConfig:
                     "%.1f m" % (radius, where, self.cell_radius))
         if self.iterations < 1:
             raise ConfigurationError("iterations must be >= 1")
+        if self.seed < 0:
+            raise ConfigurationError("seed must be >= 0, got %d" % self.seed)
         return self
 
     @property
@@ -143,21 +145,47 @@ def _uniform_disc(rng, radius, centre=(0.0, 0.0), size=None):
     return pts[0] if size is None else pts
 
 
-def _draw_rx(rng, tx, max_link, cell_radius, all_tx):
-    """Receiver at uniform angle and uniform distance in (0, max_link] from
-    its transmitter, resampled to stay in the cell and off the 3 m floor."""
-    for _ in range(_MAX_RESAMPLE):
-        phi = rng.uniform(0.0, 2.0 * np.pi)
-        d = rng.uniform(0.0, max_link)
-        if d == 0.0:
+def _draw_receivers(rng, tx, max_link, cell_radius):
+    """Each transmitter's receiver, at uniform angle and uniform distance in
+    (0, max_link], resampled to stay in the cell and off the 3 m floor.
+
+    The draws are those of a per-pair loop that tries each pair up to
+    _MAX_RESAMPLE times, in pair order, then falls back: one block holds an
+    (angle, distance) candidate for every pair still open, the pairs before
+    the first rejected candidate keep theirs, and the generator is rewound
+    to just after the rejected draw.
+    """
+    n = len(tx)
+    rx = np.empty_like(tx)
+    scale = np.array([2.0 * np.pi, max_link])
+    i = tries = 0
+    while i < n:
+        if tries == _MAX_RESAMPLE:
+            rx[i] = _fallback_rx(rng, tx[i], max_link, cell_radius)
+            i, tries = i + 1, 0
             continue
-        rx = tx + d * np.array([np.cos(phi), np.sin(phi)])
-        if np.linalg.norm(rx) > cell_radius:
-            continue
-        if np.min(np.linalg.norm(all_tx - rx, axis=1)) < MIN_LINK_DISTANCE:
-            continue
-        return rx
-    # fall back to any in-cell candidate; the channel clamps distances
+        state = rng.bit_generator.state
+        phi, d = (rng.random((n - i, 2)) * scale).T
+        direction = np.stack([np.cos(phi), np.sin(phi)], axis=1)
+        cand = tx[i:] + d[:, None] * direction
+        ok = ((d != 0.0) & (np.linalg.norm(cand, axis=1) <= cell_radius)
+              & (np.linalg.norm(tx[None, :, :] - cand[:, None, :], axis=2)
+                 .min(axis=1) >= MIN_LINK_DISTANCE))
+        k = n - i if ok.all() else int(ok.argmin())
+        rx[i:i + k] = cand[:k]
+        if i + k < n:
+            # the rejected candidate is the block's last, or is redrawn
+            if i + k + 1 < n:
+                rng.bit_generator.state = state
+                rng.random(2 * (k + 1))
+            tries = (tries if k == 0 else 0) + 1
+        i += k
+    return rx
+
+
+def _fallback_rx(rng, tx, max_link, cell_radius):
+    """Any in-cell candidate, off the floor or not; the channel clamps
+    distances."""
     for _ in range(_MAX_RESAMPLE):
         phi = rng.uniform(0.0, 2.0 * np.pi)
         d = rng.uniform(0.0, max_link)
@@ -177,7 +205,7 @@ def _assemble(config, rng, centre, radius):
     else:
         tx = _uniform_disc(rng, config.cell_radius, size=config.num_d2d_pairs)
         max_link = config.max_link_distance
-    rx = np.array([_draw_rx(rng, t, max_link, config.cell_radius, tx) for t in tx])
+    rx = _draw_receivers(rng, tx, max_link, config.cell_radius)
     return NodePlacement(bs_pos=np.zeros(2), cu_pos=cu_pos,
                          d2d_tx_pos=tx, d2d_rx_pos=rx,
                          cluster_centre=centre, cluster_radius=radius)

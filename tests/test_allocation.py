@@ -311,7 +311,7 @@ def test_start_duals_meet_the_co_channel_cu_row(tables, seed):
     (row,) = np.flatnonzero(z)
     assert smap.rb_of_cu[row] == assignment.rb_of_pair[0]
     assert z[row] == water_filling_dual(a[row], g[0])
-    _, x = al._water_fill(z, a, g.ravel())
+    _, x = al._water_fill(z, a, 1.0 / g.ravel())
     assert np.all(x < 1.0)
     assert a[row] @ x == pytest.approx(1.0, abs=1e-12)
 
@@ -328,6 +328,22 @@ def test_start_duals_add_on_a_shared_row():
                                  + water_filling_dual(a[0, 2:], g[1]),
                                  rel=1e-15)
     assert np.all(z[1:] == 0.0)
+
+
+def test_newton_solve_matches_numpy_and_rejects_singular():
+    """The Newton step's LAPACK solve agrees with np.linalg.solve on a
+    Hessian of the solver's shape, and raises as it does when the matrix is
+    singular.  scipy may link another LAPACK build than numpy, so the bits
+    can differ: the bound is the condition number times a few ulps."""
+    rng = np.random.default_rng(7)
+    af = rng.uniform(size=(25, 60))
+    h = (af / rng.uniform(1.0, 2.0, size=60) ** 2) @ af.T
+    b = rng.normal(size=25)
+    ref = np.linalg.solve(h, b)
+    tol = 16 * np.finfo(float).eps * np.linalg.cond(h)
+    assert np.abs(al._solve(h, b) - ref).max() <= tol * np.abs(ref).max()
+    with pytest.raises(np.linalg.LinAlgError):
+        al._solve(np.ones((3, 3)), np.ones(3))
 
 
 @pytest.fixture

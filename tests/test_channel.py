@@ -82,3 +82,35 @@ def test_gains_csv(tmp_path, rng):
     lines = out.read_text().splitlines()
     assert lines[0] == "link_type,i,j,gain_db,los"
     assert len(lines) == 1 + 15 + 2 + 15 * 2 + 2 * 2
+
+
+def loop_gains(placement, config, rng):
+    """Oracle: one ``_link_gain`` draw per link group, in the documented
+    order, which one block draw in ``gains_from_placement`` replaces."""
+    cu, tx, rx = placement.cu_pos, placement.d2d_tx_pos, placement.d2d_rx_pos
+    groups = (np.linalg.norm(cu, axis=1), np.linalg.norm(tx, axis=1),
+              np.linalg.norm(cu[:, None, :] - rx[None, :, :], axis=2),
+              np.linalg.norm(tx[None, :, :] - rx[:, None, :], axis=2))
+    return [ch._link_gain(dist, config.carrier_freq, rng) for dist in groups]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 17])
+@pytest.mark.parametrize("updates", [{}, dict(layout=d.Layout.NON_CLUSTERED),
+                                     dict(num_d2d_pairs=3)])
+def test_gains_match_one_draw_per_link_group(updates, seed):
+    cfg = d.with_updates(d.ScenarioConfig(), **updates)
+    rng = np.random.default_rng(seed)
+    for _ in range(10):
+        p = d.sample_placement(cfg, rng)
+        state = rng.bit_generator.state
+        expected = loop_gains(p, cfg, rng)
+        expected_next = rng.random(4)
+        rng.bit_generator.state = state
+        g = d.gains_from_placement(p, cfg, rng)
+        actual = [(g.h_cu_bs, g.los_cu_bs), (g.h_d2d_bs, g.los_d2d_bs),
+                  (g.h_cu_d2d, g.los_cu_d2d), (g.h_d2d_d2d, g.los_d2d_d2d)]
+        for (h, los), (h_ref, los_ref) in zip(actual, expected):
+            assert h.shape == h_ref.shape
+            assert np.array_equal(h, h_ref)
+            assert np.array_equal(los, los_ref)
+        assert np.array_equal(rng.random(4), expected_next)

@@ -230,6 +230,30 @@ def test_run_rejects_random_cluster_beyond_cell(capsys, fast_tables,
     assert not out.exists()
 
 
+def test_validate_rejects_negative_seed(capsys, tmp_path):
+    path = _config_with(tmp_path, "seed = -1")
+    code, out, err = _run(capsys, ["validate", "--config", path])
+    assert code == cli.EXIT_INVARIANT
+    assert out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "seed" in err
+
+
+@pytest.mark.parametrize("line,argv", [("seed = -1", []),
+                                       ("", ["--seed", "-3"])])
+def test_run_rejects_negative_seed(capsys, fast_tables, campaigns, tmp_path,
+                                   line, argv):
+    path = _config_with(tmp_path, line)
+    out = tmp_path / "out"
+    code, _, err = _run(capsys, ["run", "--config", path, "--out", str(out)]
+                        + argv)
+    assert code == cli.EXIT_INVARIANT
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "seed" in err
+    assert campaigns == []
+    assert not out.exists()
+
+
 @settings(derandomize=True, deadline=None, max_examples=50)
 @given(key=st.from_regex(r"[A-Za-z_][A-Za-z0-9_]*", fullmatch=True).filter(
     lambda k: k not in {f.name for f in fields(d.ScenarioConfig)}))

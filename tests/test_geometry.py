@@ -30,6 +30,8 @@ def test_config_rejects_structural_violations():
         d.with_updates(d.ScenarioConfig(), cell_radius=-1.0)
     with pytest.raises(d.ConfigurationError):
         d.with_updates(d.ScenarioConfig(), iterations=0)
+    with pytest.raises(d.ConfigurationError, match="seed"):
+        d.with_updates(d.ScenarioConfig(), seed=-1)
 
 
 FLOAT_FIELDS = [f.name for f in fields(d.ScenarioConfig)
@@ -170,7 +172,7 @@ def scenario_configs(draw):
         d2d_max_link_factor=draw(positive), cu_min_sinr=draw(finite),
         noise_per_subcarrier=draw(finite), max_tx_power=draw(finite),
         cu_tx_power=draw(finite), iterations=draw(st.integers(1, 10 ** 9)),
-        seed=draw(st.integers(-2 ** 63, 2 ** 63)))
+        seed=draw(st.integers(0, 2 ** 63)))
     assert set(values) == {f.name for f in fields(d.ScenarioConfig)}
     try:
         return d.ScenarioConfig(**values)
@@ -214,12 +216,99 @@ def test_placement_csv(tmp_path, rng):
 def test_draw_rx_fallback_is_bounded(rng):
     # a 2 m link cap never clears the 3 m floor, so every draw falls back
     tx = np.zeros(2)
-    rx = geo._draw_rx(rng, tx, 2.0, 250.0, tx[None, :])
+    rx = geo._draw_receivers(rng, tx[None, :], 2.0, 250.0)[0]
     assert 0.0 <= np.linalg.norm(rx - tx) <= 2.0
     # from a transmitter outside the cell the fallback fails as well
     far = np.array([1000.0, 0.0])
     with pytest.raises(d.ConfigurationError, match="200 draws"):
-        geo._draw_rx(rng, far, 2.0, 250.0, far[None, :])
+        geo._draw_receivers(rng, far[None, :], 2.0, 250.0)
+
+
+def loop_draw_rx(rng, tx, max_link, cell_radius, all_tx, rejected=None):
+    """Oracle: one receiver by the per-pair loop that block draws replace.
+    Appends the reason of each rejected draw to ``rejected``, if given."""
+    rejected = [] if rejected is None else rejected
+    for _ in range(geo._MAX_RESAMPLE):
+        phi = rng.uniform(0.0, 2.0 * np.pi)
+        dist = rng.uniform(0.0, max_link)
+        if dist == 0.0:
+            rejected.append("zero")
+            continue
+        rx = tx + dist * np.array([np.cos(phi), np.sin(phi)])
+        if np.linalg.norm(rx) > cell_radius:
+            rejected.append("cell")
+            continue
+        if np.min(np.linalg.norm(all_tx - rx, axis=1)) < geo.MIN_LINK_DISTANCE:
+            rejected.append("floor")
+            continue
+        return rx
+    rejected.append("fallback")
+    for _ in range(geo._MAX_RESAMPLE):
+        phi = rng.uniform(0.0, 2.0 * np.pi)
+        dist = rng.uniform(0.0, max_link)
+        rx = tx + dist * np.array([np.cos(phi), np.sin(phi)])
+        if np.linalg.norm(rx) <= cell_radius:
+            return rx
+    raise d.ConfigurationError("no receiver after %d draws" % geo._MAX_RESAMPLE)
+
+
+def loop_draw_receivers(rng, tx, max_link, cell_radius, rejected=None):
+    return np.array([loop_draw_rx(rng, t, max_link, cell_radius, tx, rejected)
+                     for t in tx])
+
+
+STREAM_CONFIGS = {
+    "clustered": {},
+    "non_clustered": dict(layout=geo.Layout.NON_CLUSTERED),
+    # a cluster touching the cell edge: candidates leave the cell
+    "cell_edge": dict(cluster_distance_fixed=150.0, cluster_radius_fixed=100.0),
+    # a link cap of 2.67 m never clears the 3 m floor: every pair falls back
+    "fallback": dict(layout=geo.Layout.NON_CLUSTERED, cluster_radius_fixed=4.0),
+    # a link cap of 3.07 m clears it once in 46 draws: pairs take many
+    # tries, and a few run out of them
+    "near_floor": dict(layout=geo.Layout.NON_CLUSTERED,
+                       cluster_radius_fixed=4.6),
+}
+# rejections the oracle must meet over the 20 placements of seed 1
+STREAM_REJECTIONS = {"clustered": {"floor"}, "non_clustered": {"floor"},
+                     "cell_edge": {"cell"}, "fallback": {"fallback"},
+                     "near_floor": {"floor", "fallback"}}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 17, 2024])
+@pytest.mark.parametrize("name", sorted(STREAM_CONFIGS))
+def test_sample_placement_matches_per_pair_loop(name, seed, monkeypatch):
+    cfg = d.with_updates(d.ScenarioConfig(), **STREAM_CONFIGS[name])
+    rng = np.random.default_rng(seed)
+    rejected = []
+    with monkeypatch.context() as m:
+        m.setattr(geo, "_draw_receivers",
+                  lambda *args: loop_draw_receivers(*args, rejected))
+        expected = [d.sample_placement(cfg, rng) for _ in range(20)]
+    expected_next = rng.random(4)
+    if seed == 1:
+        # the rewind after a rejection and the fallback are both reached
+        assert STREAM_REJECTIONS[name] <= set(rejected)
+    rng = np.random.default_rng(seed)
+    actual = [d.sample_placement(cfg, rng) for _ in range(20)]
+    for a, b in zip(actual, expected):
+        for arr in ("cu_pos", "d2d_tx_pos", "d2d_rx_pos"):
+            assert np.array_equal(getattr(a, arr), getattr(b, arr))
+        assert a.cluster_radius == b.cluster_radius
+    assert np.array_equal(rng.random(4), expected_next)
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937,
+                                           np.random.Philox, np.random.SFC64])
+def test_block_receiver_draws_match_loop_for_any_bit_generator(bit_generator):
+    cfg = d.with_updates(d.ScenarioConfig(), **STREAM_CONFIGS["cell_edge"])
+    tx = d.sample_placement(cfg, np.random.default_rng(3)).d2d_tx_pos
+    loop = np.random.Generator(bit_generator(9))
+    block = np.random.Generator(bit_generator(9))
+    expected = loop_draw_receivers(loop, tx, 60.0, cfg.cell_radius)
+    assert np.array_equal(geo._draw_receivers(block, tx, 60.0, cfg.cell_radius),
+                          expected)
+    assert np.array_equal(block.random(4), loop.random(4))
 
 
 class _FailingFile:
