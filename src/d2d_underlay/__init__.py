@@ -16,7 +16,7 @@ from .waveform import (
 )
 from .geometry import (
     ScenarioConfig, NodePlacement, Layout, ConfigurationError,
-    sample_placement, load_config, save_config, with_updates, placement_to_csv,
+    sample_placement, load_config, save_config, with_updates,
 )
 from .channel import (
     ChannelGains, los_probability, pathloss_db, gains_from_placement,

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import os
 import tempfile
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 
 import numpy as np
@@ -36,7 +36,6 @@ class ScenarioConfig:
     subcarrier_spacing: float = 15e3
     num_rbs: int = 15
     subcarriers_per_rb: int = 12
-    num_cus: int = 15
     num_d2d_pairs: int = 10
     layout: Layout = Layout.CLUSTERED
     cluster_radius_min: float = 50.0
@@ -64,10 +63,6 @@ class ScenarioConfig:
             raise ConfigurationError(
                 "num_d2d_pairs (%d) must not exceed num_rbs (%d): the RB map "
                 "must be injective" % (self.num_d2d_pairs, self.num_rbs))
-        if self.num_cus != self.num_rbs:
-            raise ConfigurationError(
-                "num_cus (%d) must equal num_rbs (%d): fully loaded cell"
-                % (self.num_cus, self.num_rbs))
         if self.cluster_radius_min > self.cluster_radius_max:
             raise ConfigurationError("cluster_radius_min > cluster_radius_max")
         for name in ("cell_radius", "carrier_freq", "subcarrier_spacing",
@@ -98,6 +93,11 @@ class ScenarioConfig:
         return self
 
     @property
+    def num_cus(self):
+        """One CU per RB: the D2D pairs underlay a fully loaded uplink."""
+        return self.num_rbs
+
+    @property
     def noise_per_subcarrier_w(self):
         return 10.0 ** ((self.noise_per_subcarrier - 30.0) / 10.0)
 
@@ -125,16 +125,11 @@ class ScenarioConfig:
 class NodePlacement:
     """One sampled topology; positions are (x, y) in metres, BS at origin."""
 
-    bs_pos: np.ndarray
     cu_pos: np.ndarray
     d2d_tx_pos: np.ndarray
     d2d_rx_pos: np.ndarray
     cluster_centre: np.ndarray | None = None
     cluster_radius: float | None = None
-
-    @property
-    def link_distances(self):
-        return np.linalg.norm(self.d2d_tx_pos - self.d2d_rx_pos, axis=1)
 
 
 def _uniform_disc(rng, radius, centre=(0.0, 0.0), size=None):
@@ -206,8 +201,7 @@ def _assemble(config, rng, centre, radius):
         tx = _uniform_disc(rng, config.cell_radius, size=config.num_d2d_pairs)
         max_link = config.max_link_distance
     rx = _draw_receivers(rng, tx, max_link, config.cell_radius)
-    return NodePlacement(bs_pos=np.zeros(2), cu_pos=cu_pos,
-                         d2d_tx_pos=tx, d2d_rx_pos=rx,
+    return NodePlacement(cu_pos=cu_pos, d2d_tx_pos=tx, d2d_rx_pos=rx,
                          cluster_centre=centre, cluster_radius=radius)
 
 
@@ -284,17 +278,6 @@ def save_config(config, path):
 def with_updates(config, **changes):
     """Copy of the config with fields replaced (and re-validated)."""
     return replace(config, **changes)
-
-
-def placement_to_csv(placement, path):
-    """Dump node positions as ``node_type,index,x,y`` rows."""
-    rows = ["node_type,index,x,y", "bs,0,%.9g,%.9g" % tuple(placement.bs_pos)]
-    for name, arr in (("cu", placement.cu_pos),
-                      ("d2d_tx", placement.d2d_tx_pos),
-                      ("d2d_rx", placement.d2d_rx_pos)):
-        for i, (x, y) in enumerate(arr):
-            rows.append("%s,%d,%.9g,%.9g" % (name, i, x, y))
-    atomic_write(path, "\n".join(rows) + "\n")
 
 
 def atomic_write(path, text):

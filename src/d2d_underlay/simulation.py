@@ -120,7 +120,7 @@ def run_iteration(config, tables, seed_stream):
     return out
 
 
-def run_campaign(config, tables, seed=None, jobs=0):
+def run_campaign(config, tables, jobs=0):
     """Aggregate ``config.iterations`` independent snapshots into a report.
 
     ``jobs > 1`` distributes iterations over worker processes; each iteration
@@ -128,8 +128,7 @@ def run_campaign(config, tables, seed=None, jobs=0):
     """
     if jobs < 0:
         raise ValueError("jobs must be >= 0, got %d" % jobs)
-    seed = config.seed if seed is None else seed
-    streams = np.random.SeedSequence(seed).spawn(config.iterations)
+    streams = np.random.SeedSequence(config.seed).spawn(config.iterations)
     results = []
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -181,19 +180,21 @@ def build_report(results, iterations):
 
 def sweep_configs(config, parameter, values):
     """The config of every sweep point, so that a bad point fails before any
-    campaign runs."""
+    campaign runs.  Point ``idx`` runs on seed ``config.seed + 7919 * idx``:
+    distinct but reproducible, and shared by both cases."""
     configs = []
-    for value in values:
+    for idx, value in enumerate(values):
         try:
             if parameter is SweepParameter.NUM_PAIRS:
                 if not float(value).is_integer():
                     raise ConfigurationError("num_pairs must be an integer")
-                cfg = geo.with_updates(config, num_d2d_pairs=int(value))
+                update = {"num_d2d_pairs": int(value)}
             elif parameter is SweepParameter.CLUSTER_RADIUS:
-                cfg = geo.with_updates(config, cluster_radius_fixed=float(value))
+                update = {"cluster_radius_fixed": float(value)}
             else:
-                cfg = geo.with_updates(config,
-                                       cluster_distance_fixed=float(value))
+                update = {"cluster_distance_fixed": float(value)}
+            cfg = geo.with_updates(config, seed=config.seed + 7919 * idx,
+                                   **update)
         except ConfigurationError as exc:
             raise ConfigurationError(
                 "sweep point %s = %s: %s" % (parameter.value, value, exc))
@@ -203,19 +204,18 @@ def sweep_configs(config, parameter, values):
 
 def sweep(config, parameter, values, tables, jobs=0):
     """One campaign per parameter value; returns a list of (value, report)."""
-    out = []
-    for idx, (value, cfg) in enumerate(
-            zip(values, sweep_configs(config, parameter, values))):
-        # distinct but reproducible seed per point, shared across cases
-        report = run_campaign(cfg, tables, seed=config.seed + 7919 * idx,
-                               jobs=jobs)
-        out.append((value, report))
-    return out
+    configs = sweep_configs(config, parameter, values)
+    return [(value, run_campaign(cfg, tables, jobs=jobs))
+            for value, cfg in zip(values, configs)]
 
 
 # ---------------------------------------------------------------------------
 # output files (decimal text, 9 significant digits, atomic writes)
 # ---------------------------------------------------------------------------
+
+# the (case, variant) series of every CDF, sweep and gnuplot column
+_COLUMNS = [(c, v) for c in Case for v in ("actual", "predicted")]
+
 
 def write_samples_csv(report, path):
     rows = ["iteration,case,rate_predicted,rate_actual,feasible,"
@@ -229,58 +229,47 @@ def write_samples_csv(report, path):
 
 
 def write_cdf_csv(report, path):
-    cols = [(c, v) for c in Case for v in ("actual", "predicted")]
-    header = "rate," + ",".join("%s_%s" % (c.value, v) for c, v in cols)
-    rows = [header]
+    rows = ["rate," + ",".join("%s_%s" % (c.value, v) for c, v in _COLUMNS)]
     for i, x in enumerate(report.cdf_grid):
-        vals = ",".join("%.9g" % report.cdf[key][i] for key in cols)
+        vals = ",".join("%.9g" % report.cdf[key][i] for key in _COLUMNS)
         rows.append("%.9g,%s" % (x, vals))
     atomic_write(path, "\n".join(rows) + "\n")
 
 
 def write_sweep_csv(parameter, points, path):
-    header = ("%s," % parameter.value.lower()
-              + ",".join("%s_%s_mean" % (c.value, v)
-                         for c in Case for v in ("actual", "predicted")))
-    rows = [header]
+    rows = ["%s," % parameter.value.lower()
+            + ",".join("%s_%s_mean" % (c.value, v) for c, v in _COLUMNS)]
     for value, report in points:
         vals = ",".join("%.9g" % report.summary[(c, v, "mean")]
-                        for c in Case for v in ("actual", "predicted"))
+                        for c, v in _COLUMNS)
         rows.append("%.9g,%s" % (value, vals))
     atomic_write(path, "\n".join(rows) + "\n")
 
 
-def write_gnuplot_cdf(path, cdf_csv="cdf.csv"):
-    cols = [(c, v) for c in Case for v in ("actual", "predicted")]
+def _write_gnuplot(path, xlabel, ylabel, key, style, csv):
+    """A gnuplot script plotting each ``_COLUMNS`` series of ``csv``
+    against its first column."""
+    plots = ["  '%s' using 1:%d with %s title '%s %s'"
+             % (csv, i + 2, style, c.value, v)
+             for i, (c, v) in enumerate(_COLUMNS)]
     lines = [
         "set datafile separator ','",
-        "set xlabel 'Average rate per D2D pair (bit/s)'",
-        "set ylabel 'CDF'",
-        "set key bottom right",
+        "set xlabel '%s'" % xlabel,
+        "set ylabel '%s'" % ylabel,
+        "set key %s" % key,
         "set grid",
         "plot \\",
+        ", \\\n".join(plots),
     ]
-    plots = []
-    for i, (c, v) in enumerate(cols):
-        plots.append("  '%s' using 1:%d with lines title '%s %s'"
-                     % (cdf_csv, i + 2, c.value, v))
-    lines.append(", \\\n".join(plots))
     atomic_write(path, "\n".join(lines) + "\n")
+
+
+def write_gnuplot_cdf(path, cdf_csv="cdf.csv"):
+    _write_gnuplot(path, "Average rate per D2D pair (bit/s)", "CDF",
+                   "bottom right", "lines", cdf_csv)
 
 
 def write_gnuplot_sweep(parameter, path, sweep_csv="sweep.csv"):
-    lines = [
-        "set datafile separator ','",
-        "set xlabel '%s'" % parameter.value.lower(),
-        "set ylabel 'Mean rate per D2D pair (bit/s)'",
-        "set key top right",
-        "set grid",
-        "plot \\",
-    ]
-    plots = []
-    for i, (c, v) in enumerate((c, v) for c in Case
-                               for v in ("actual", "predicted")):
-        plots.append("  '%s' using 1:%d with linespoints title '%s %s'"
-                     % (sweep_csv, i + 2, c.value, v))
-    lines.append(", \\\n".join(plots))
-    atomic_write(path, "\n".join(lines) + "\n")
+    _write_gnuplot(path, parameter.value.lower(),
+                   "Mean rate per D2D pair (bit/s)", "top right",
+                   "linespoints", sweep_csv)

@@ -86,16 +86,11 @@ def parse_waveform(token):
 
 @dataclass(frozen=True)
 class PrototypeFilter:
-    """Unit-energy prototype filter for the filter-bank waveform."""
+    """Unit-energy overlap-4 prototype filter for the filter-bank waveform,
+    ``4 * fft_size`` taps long."""
 
-    overlap_factor: int
-    freq_coeffs: tuple
     impulse_response: np.ndarray
     fft_size: int
-
-    @property
-    def length(self):
-        return self.impulse_response.size
 
 
 def build_phydyas_filter(overlap_factor, fft_size):
@@ -117,8 +112,7 @@ def build_phydyas_filter(overlap_factor, fft_size):
     for k in range(1, K):
         h = h + 2.0 * (-1) ** k * P[k] * np.cos(2.0 * np.pi * k * n / (K * fft_size))
     h = h / math.sqrt(np.sum(h * h))
-    return PrototypeFilter(overlap_factor=K, freq_coeffs=P,
-                           impulse_response=h, fft_size=fft_size)
+    return PrototypeFilter(impulse_response=h, fft_size=fft_size)
 
 
 @dataclass(frozen=True)

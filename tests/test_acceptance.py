@@ -69,8 +69,7 @@ def test_criterion_1_assignment_matches_exhaustive_search(report_line):
 
 def test_criterion_2_power_loading_kkt_and_grid_oracle(tables, report_line):
     t0 = time.perf_counter()
-    cfg = d.with_updates(d.ScenarioConfig(), num_rbs=5, num_cus=5,
-                         num_d2d_pairs=3)
+    cfg = d.with_updates(d.ScenarioConfig(), num_rbs=5, num_d2d_pairs=3)
     gamma_min = 10.0 ** (cfg.cu_min_sinr / 10.0)
     worst_violation = 0.0
     worst_slack = 0.0
@@ -97,8 +96,8 @@ def test_criterion_2_power_loading_kkt_and_grid_oracle(tables, report_line):
         worst_slack = max(worst_slack, res.kkt_residual)
 
     # two pairs with one subcarrier each: refine a dense feasible-box grid
-    cfg2 = d.with_updates(d.ScenarioConfig(), num_rbs=2, num_cus=2,
-                          num_d2d_pairs=2, subcarriers_per_rb=1,
+    cfg2 = d.with_updates(d.ScenarioConfig(), num_rbs=2, num_d2d_pairs=2,
+                          subcarriers_per_rb=1,
                           cu_min_sinr=25.0)
     rng = np.random.default_rng(8)
     placement = d.sample_placement(cfg2, rng)
@@ -287,7 +286,7 @@ def test_criterion_8_sinr_oracle_equivalence(tables, report_line):
     for kind in (OFDM, FBMC):
         for num_rbs in (2, 3):
             cfg = d.with_updates(d.ScenarioConfig(), num_rbs=num_rbs,
-                                 num_cus=num_rbs, num_d2d_pairs=2)
+                                 num_d2d_pairs=2)
             rng = np.random.default_rng(100 + num_rbs)
             placement = d.sample_placement(cfg, rng)
             gains = d.gains_from_placement(placement, cfg, rng)

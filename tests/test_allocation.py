@@ -61,7 +61,7 @@ def test_hungarian_tie_break_prefers_low_rb():
 
 
 def small_instance(tables, seed=3, num_rbs=5, num_pairs=3, **kw):
-    cfg = d.with_updates(d.ScenarioConfig(), num_rbs=num_rbs, num_cus=num_rbs,
+    cfg = d.with_updates(d.ScenarioConfig(), num_rbs=num_rbs,
                          num_d2d_pairs=num_pairs, **kw)
     rng = np.random.default_rng(seed)
     placement = d.sample_placement(cfg, rng)
@@ -136,8 +136,8 @@ def test_power_loading_water_filling_limit(tables):
 
 def test_power_loading_symmetric_instance_uniform(tables):
     """Equal gains and a flat leakage profile admit only the uniform split."""
-    cfg = d.with_updates(d.ScenarioConfig(), num_rbs=1, num_cus=1,
-                         num_d2d_pairs=1, cu_min_sinr=-300.0)
+    cfg = d.with_updates(d.ScenarioConfig(), num_rbs=1, num_d2d_pairs=1,
+                         cu_min_sinr=-300.0)
     S = cfg.subcarriers_per_rb
     gains = ch.ChannelGains(
         h_cu_bs=np.array([1e-6]), h_d2d_bs=np.array([1e-9]),
@@ -161,8 +161,8 @@ def test_power_loading_symmetric_instance_uniform(tables):
 
 def test_power_loading_grid_oracle(tables):
     """Two pairs, one subcarrier each: dense grid search over the box."""
-    cfg = d.with_updates(d.ScenarioConfig(), num_rbs=2, num_cus=2,
-                         num_d2d_pairs=2, subcarriers_per_rb=1,
+    cfg = d.with_updates(d.ScenarioConfig(), num_rbs=2, num_d2d_pairs=2,
+                         subcarriers_per_rb=1,
                          cu_min_sinr=25.0)
     rng = np.random.default_rng(8)
     placement = d.sample_placement(cfg, rng)
@@ -392,6 +392,20 @@ def test_newton_steps_bounded_on_stall_campaign(tables, solves,
         assert res.iterations_used <= al.MAX_NEWTON_STEPS
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "open solver stall: the OFDM solve stops MAX_ITER after 50 Newton steps "
+    "with a KKT residual of 0.3625, its active set flipping between 10 and "
+    "11 free duals on alternate steps"))
+def test_max_iter_stall_snapshot_ends_optimal(tables, solves):
+    """Both solves of this one-snapshot campaign (11 pairs, seed 951026653)
+    should end OPTIMAL."""
+    cfg = d.with_updates(d.ScenarioConfig(), num_d2d_pairs=11,
+                         seed=951026653, iterations=1)
+    d.run_campaign(cfg, tables)
+    assert len(solves) == 2
+    assert all(res.status is al.SolverStatus.OPTIMAL for res in solves)
+
+
 def normalized_problem(assignment, gains, tables, smap, cfg, kind):
     """The solver's constraint matrix A (CU rows, then one cap row per pair)
     and gains g shaped (pairs, S), rebuilt from the module's definitions."""
@@ -443,7 +457,7 @@ def test_power_loading_matches_lbfgsb_reference(tables, instance):
     OPTIMAL solve is KKT-accurate, meets each CU SINR floor, and attains the
     L-BFGS-B optimum of the same dual."""
     num_rbs, num_pairs, s, cu_min_sinr, kind, seed = instance
-    cfg = d.with_updates(d.ScenarioConfig(), num_rbs=num_rbs, num_cus=num_rbs,
+    cfg = d.with_updates(d.ScenarioConfig(), num_rbs=num_rbs,
                          num_d2d_pairs=num_pairs, subcarriers_per_rb=s,
                          cu_min_sinr=cu_min_sinr)
     rng = np.random.default_rng(seed)

@@ -112,8 +112,8 @@ def test_missing_tables_dir_exits_3(capsys, config_path, tmp_path):
 def test_tables_out_is_a_file_exits_3(capsys, tmp_path):
     blocker = tmp_path / "file"
     blocker.write_text("")
-    code, _, err = _run(capsys, ["tables", "--method", "psd", "--span", "4",
-                                 "--fft-size", "128", "--out", str(blocker)])
+    code, _, err = _run(capsys, ["tables", "--method", "psd",
+                                 "--out", str(blocker)])
     assert code == cli.EXIT_CONFIG
     assert err.startswith("error:") and len(err.splitlines()) == 1
     assert blocker.read_text() == ""
@@ -272,6 +272,16 @@ def test_unknown_config_key_exits_4(key):
     assert "unknown key %r" % key in err.getvalue()
 
 
+def test_num_cus_config_key_exits_4(capsys, tmp_path):
+    """``num_cus`` follows ``num_rbs`` (one CU per RB) and is not a key."""
+    path = tmp_path / "c.cfg"
+    path.write_text("num_cus = 15\n")
+    code, out, err = _run(capsys, ["validate", "--config", str(path)])
+    assert code == cli.EXIT_INVARIANT
+    assert out == ""
+    assert "unknown key 'num_cus'" in err
+
+
 def test_sweep_invariant_exits_4(capsys, config_path, fast_tables, tmp_path):
     code, _, err = _run(capsys, ["sweep", "--config", config_path,
                                  "--parameter", "cluster_radius",
@@ -308,23 +318,18 @@ def test_non_integral_num_pairs_exits_4(capsys, config_path, fast_tables,
 # happy paths
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("method,span,offsets,pairs", [
-    ("psd", 8, 400, ["fbmc:ofdm"]),
-    ("time", 4, 100, ["all", "fbmc:fbmc"]),
+@pytest.mark.parametrize("method,pairs", [
+    ("psd", ["fbmc:ofdm"]),
+    ("time", ["all", "fbmc:fbmc"]),
 ], ids=["psd", "time"])
-def test_tables_roundtrip(capsys, tmp_path, method, span, offsets, pairs):
-    """``tables`` writes the tables ``run`` and ``sweep`` build, with the
-    same per-pairing seeds."""
-    built = wf.build_all_tables(
-        wf.build_phydyas_filter(4, 128),
-        method=wf.PSD if method == "psd" else wf.TIME_SIM,
-        half_span=span, num_offsets=offsets, seed=0)
+def test_tables_roundtrip(capsys, tmp_path, method, pairs):
+    """``tables`` writes the tables ``run`` and ``sweep`` build."""
+    built = cli._build_tables(wf.PSD if method == "psd" else wf.TIME_SIM)
+    span = wf.DEFAULT_HALF_SPAN
     for pair in pairs:
         out = tmp_path / pair.replace(":", "_")
         code, msg, _ = _run(capsys, [
-            "tables", "--pair", pair, "--method", method,
-            "--span", str(span), "--offsets", str(offsets),
-            "--fft-size", "128", "--out", str(out)])
+            "tables", "--pair", pair, "--method", method, "--out", str(out)])
         assert code == cli.EXIT_OK
         assert sorted(msg.split()) == sorted(str(p) for p in out.iterdir())
         written = {}
@@ -404,14 +409,6 @@ def test_validate_rejects_non_finite_table(capsys, config_path, tmp_path,
                                    "--tables", str(tmp_path)])
     assert code == cli.EXIT_INVARIANT
     assert out == ""
-    assert err.startswith("error:") and len(err.splitlines()) == 1
-
-
-@pytest.mark.parametrize("method", ["psd", "time"])
-def test_tables_negative_span_exits_4(capsys, tmp_path, method):
-    code, _, err = _run(capsys, ["tables", "--method", method, "--span", "-1",
-                                 "--fft-size", "128", "--out", str(tmp_path)])
-    assert code == cli.EXIT_INVARIANT
     assert err.startswith("error:") and len(err.splitlines()) == 1
 
 

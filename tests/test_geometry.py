@@ -19,11 +19,14 @@ def test_config_defaults_valid():
     assert cfg.noise_per_subcarrier_w == pytest.approx(10 ** (-127 / 10) / 1000)
 
 
+def test_num_cus_follows_num_rbs():
+    cfg = d.ScenarioConfig(num_d2d_pairs=3)
+    assert d.with_updates(cfg, num_rbs=5).num_cus == 5
+
+
 def test_config_rejects_structural_violations():
     with pytest.raises(d.ConfigurationError):
         d.with_updates(d.ScenarioConfig(), num_d2d_pairs=16)
-    with pytest.raises(d.ConfigurationError):
-        d.with_updates(d.ScenarioConfig(), num_cus=14)
     with pytest.raises(d.ConfigurationError):
         d.with_updates(d.ScenarioConfig(), cluster_radius_min=120.0)
     with pytest.raises(d.ConfigurationError):
@@ -128,10 +131,11 @@ def test_containment_invariants(layout, rng):
         if layout is geo.Layout.CLUSTERED:
             dist = np.linalg.norm(p.d2d_tx_pos - p.cluster_centre, axis=1)
             assert np.all(dist <= p.cluster_radius + 1e-9)
-            assert np.all(p.link_distances
+            assert np.all(np.linalg.norm(p.d2d_tx_pos - p.d2d_rx_pos, axis=1)
                           <= cfg.d2d_max_link_factor * p.cluster_radius + 1e-9)
         else:
-            assert np.all(p.link_distances <= cfg.max_link_distance + 1e-9)
+            assert np.all(np.linalg.norm(p.d2d_tx_pos - p.d2d_rx_pos, axis=1)
+                          <= cfg.max_link_distance + 1e-9)
 
 
 def test_cluster_radius_range(rng):
@@ -162,7 +166,7 @@ def scenario_configs(draw):
     values = dict(
         cell_radius=cell, carrier_freq=draw(positive),
         subcarrier_spacing=draw(positive), num_rbs=num_rbs,
-        subcarriers_per_rb=draw(st.integers(1, 64)), num_cus=num_rbs,
+        subcarriers_per_rb=draw(st.integers(1, 64)),
         num_d2d_pairs=draw(st.integers(1, num_rbs)),
         layout=draw(st.sampled_from(geo.Layout)),
         cluster_radius_min=draw(st.floats(min_value=1e-3, max_value=r_max)),
@@ -202,15 +206,6 @@ def test_config_file_comments_and_errors(tmp_path):
     path.write_text("just some words\n")
     with pytest.raises(d.ConfigurationError):
         d.load_config(path)
-
-
-def test_placement_csv(tmp_path, rng):
-    p = d.sample_placement(d.ScenarioConfig(), rng)
-    out = tmp_path / "p.csv"
-    d.placement_to_csv(p, out)
-    lines = out.read_text().splitlines()
-    assert lines[0] == "node_type,index,x,y"
-    assert len(lines) == 1 + 1 + 15 + 10 + 10
 
 
 def test_draw_rx_fallback_is_bounded(rng):
@@ -338,13 +333,12 @@ def _writers(tables):
     return {
         "save_table": lambda path: d.save_table(table, path),
         "save_config": lambda path: d.save_config(cfg, path),
-        "placement_to_csv": lambda path: d.placement_to_csv(placement, path),
         "gains_to_csv": lambda path: d.gains_to_csv(gains, path),
     }
 
 
 @pytest.mark.parametrize("name", ["save_table", "save_config",
-                                  "placement_to_csv", "gains_to_csv"])
+                                  "gains_to_csv"])
 def test_writer_failing_midway_keeps_previous_file(name, tables, tmp_path,
                                                    monkeypatch):
     write = _writers(tables)[name]

@@ -10,7 +10,7 @@ FBMC = wf.WaveformType.FBMC_OQAM
 
 
 def small_config(num_rbs=3, num_pairs=2, **kw):
-    return d.with_updates(d.ScenarioConfig(), num_rbs=num_rbs, num_cus=num_rbs,
+    return d.with_updates(d.ScenarioConfig(), num_rbs=num_rbs,
                           num_d2d_pairs=num_pairs, **kw)
 
 
@@ -219,8 +219,7 @@ def test_power_allocation_validation():
 def test_truncation_beyond_half_span(tables):
     """Links separated by more than the table span contribute nothing."""
     t = tables[(FBMC, OFDM)]
-    cfg = d.with_updates(d.ScenarioConfig(), num_rbs=8, num_cus=8,
-                         num_d2d_pairs=2)
+    cfg = d.with_updates(d.ScenarioConfig(), num_rbs=8, num_d2d_pairs=2)
     gains, _, smap = make_instance(cfg, tables)
     smap = smap.with_assignment(np.array([0, 7]))
     # pair 0 on RB 0 vs the CU on RB 7: separation >= 6*12 - 11 > 36

@@ -98,6 +98,20 @@ def test_sweep_reports_offending_value(tables):
         d.sweep(cfg, sim.SweepParameter.CLUSTER_RADIUS, [300.0], tables)
 
 
+@pytest.mark.parametrize("parameter,values", [
+    (sim.SweepParameter.NUM_PAIRS, [5, 9, 13]),
+    (sim.SweepParameter.CLUSTER_RADIUS, [40.0, 80.0]),
+    (sim.SweepParameter.CLUSTER_DISTANCE, [0.0, 100.0]),
+])
+def test_sweep_configs_seed_each_point(parameter, values):
+    """Point ``idx`` carries seed ``seed + 7919 * idx`` on its config, so
+    checking the point configs checks their seeds too."""
+    cfg = d.with_updates(d.ScenarioConfig(), seed=17)
+    configs = sim.sweep_configs(cfg, parameter, values)
+    assert [c.seed for c in configs] == [17 + 7919 * i
+                                         for i in range(len(values))]
+
+
 def test_sweep_series(tables):
     cfg = d.with_updates(d.ScenarioConfig(), iterations=2)
     pts = d.sweep(cfg, sim.SweepParameter.NUM_PAIRS, [3, 6], tables)

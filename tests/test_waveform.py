@@ -112,19 +112,19 @@ def test_time_sim_fold_matches_offset_loop(interferer, victim, fft_size,
 
 
 def test_phydyas_coefficients():
-    f = d.build_phydyas_filter(4, 1024)
-    assert f.freq_coeffs[0] == 1.0
-    assert f.freq_coeffs[1] == pytest.approx(0.971960)
-    assert f.freq_coeffs[2] == pytest.approx(math.sqrt(2) / 2)
-    assert f.freq_coeffs[3] == pytest.approx(0.235147)
+    p = wf.PHYDYAS_K4_COEFFS
+    assert p[0] == 1.0
+    assert p[1] == pytest.approx(0.971960)
+    assert p[2] == pytest.approx(math.sqrt(2) / 2)
+    assert p[3] == pytest.approx(0.235147)
     # near-perfect-reconstruction constraint of the design
-    assert f.freq_coeffs[1] ** 2 + f.freq_coeffs[3] ** 2 == pytest.approx(1.0, abs=1e-4)
+    assert p[1] ** 2 + p[3] ** 2 == pytest.approx(1.0, abs=1e-4)
 
 
 def test_phydyas_unit_energy():
     f = d.build_phydyas_filter(4, 1024)
     assert np.sum(f.impulse_response ** 2) == pytest.approx(1.0, abs=1e-12)
-    assert f.length == 4 * 1024
+    assert f.impulse_response.size == 4 * 1024
 
 
 def test_phydyas_rejects_unsupported_parameters():
