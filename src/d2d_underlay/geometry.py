@@ -64,32 +64,38 @@ class ScenarioConfig:
                 "num_d2d_pairs (%d) must not exceed num_rbs (%d): the RB map "
                 "must be injective" % (self.num_d2d_pairs, self.num_rbs))
         if self.cluster_radius_min > self.cluster_radius_max:
-            raise ConfigurationError("cluster_radius_min > cluster_radius_max")
+            raise ConfigurationError(
+                "cluster_radius_min (%r) must not exceed cluster_radius_max "
+                "(%r)" % (self.cluster_radius_min, self.cluster_radius_max))
         for name in ("cell_radius", "carrier_freq", "subcarrier_spacing",
                      "cluster_radius_min", "cluster_radius_max",
-                     "d2d_max_link_factor"):
-            if getattr(self, name) <= 0:
-                raise ConfigurationError("%s must be positive" % name)
-        if self.num_rbs < 1 or self.subcarriers_per_rb < 1:
-            raise ConfigurationError("need at least one RB and subcarrier")
-        if self.num_d2d_pairs < 1:
-            raise ConfigurationError("need at least one D2D pair")
-        if self.cluster_radius_fixed is not None and self.cluster_radius_fixed <= 0:
-            raise ConfigurationError("cluster_radius_fixed must be positive")
+                     "d2d_max_link_factor", "cluster_radius_fixed"):
+            value = getattr(self, name)
+            if value is not None and value <= 0:
+                raise ConfigurationError("%s must be positive, got %r"
+                                         % (name, value))
+        for name, low in (("num_rbs", 1), ("subcarriers_per_rb", 1),
+                          ("num_d2d_pairs", 1), ("iterations", 1),
+                          ("seed", 0)):
+            value = getattr(self, name)
+            if value < low:
+                raise ConfigurationError("%s must be >= %d, got %d"
+                                         % (name, low, value))
         if self.cluster_distance_fixed is not None and self.cluster_distance_fixed < 0:
-            raise ConfigurationError("cluster_distance_fixed must be >= 0")
+            raise ConfigurationError("cluster_distance_fixed must be >= 0, "
+                                     "got %r" % self.cluster_distance_fixed)
         if self.layout is Layout.CLUSTERED:
             radius = self.cluster_radius_bound
             distance = self.cluster_distance_fixed
             if radius + (distance or 0.0) > self.cell_radius:
-                where = "" if distance is None else " at distance %.1f m" % distance
+                which = ("cluster_radius_max" if self.cluster_radius_fixed is None
+                         else "cluster_radius_fixed")
+                where = ("" if distance is None else
+                         " at distance %.1f m (cluster_distance_fixed)" % distance)
                 raise ConfigurationError(
-                    "cluster of radius %.1f m%s does not fit in cell radius "
-                    "%.1f m" % (radius, where, self.cell_radius))
-        if self.iterations < 1:
-            raise ConfigurationError("iterations must be >= 1")
-        if self.seed < 0:
-            raise ConfigurationError("seed must be >= 0, got %d" % self.seed)
+                    "cluster of radius %.1f m (%s)%s does not fit in "
+                    "cell_radius %.1f m" % (radius, which, where,
+                                            self.cell_radius))
         return self
 
     @property

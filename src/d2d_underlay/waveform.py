@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy import fft as sp_fft
 
 from .geometry import atomic_write
 
@@ -230,9 +230,16 @@ def _xcorr_energy(pulse, windows):
     Entry ``[i, k]`` is ``|sum_u pulse[u] conj(win_i[u + lag])|^2`` with
     ``lag = len(win) - 1 - k``.
     """
-    q = np.conj(windows)[:, ::-1]
-    c = fftconvolve(pulse[None, :], q, axes=-1)
-    return np.abs(c) ** 2
+    full = pulse.size + windows.shape[1] - 1
+    n = sp_fft.next_fast_len(full, False)
+    # linear convolution of the pulse with the reversed conjugate windows;
+    # the FFT length and product order are scipy's fftconvolve's, which
+    # keeps the tables' last bits
+    spec = sp_fft.fft(np.conj(windows)[:, ::-1], n)
+    np.multiply(sp_fft.fft(pulse[None, :], n), spec, out=spec)
+    c = sp_fft.ifft(spec, n, overwrite_x=True)
+    e = np.abs(c[:, :full])
+    return np.square(e, out=e)
 
 
 def table_from_time_sim(interferer, victim, filt, half_span,

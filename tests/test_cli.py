@@ -1,6 +1,8 @@
 import contextlib
 import io
 import os
+import subprocess
+import sys
 import tempfile
 from dataclasses import fields
 from pathlib import Path
@@ -52,6 +54,23 @@ def test_help_text(capsys, argv, name):
     assert exc.value.code == 0
     out, _ = capsys.readouterr()
     assert out == (DATA / name).read_text()
+
+
+def test_import_leaves_unused_scipy_subpackages_unloaded():
+    """The package and its CLI import scipy's fft, linalg.lapack and
+    optimize; scipy.signal would pull in the subpackages below, adding
+    ~26 MB and ~0.7 s to every process.  A fresh interpreter, because
+    other test modules import scipy.stats here."""
+    unused = ("scipy.signal", "scipy.stats", "scipy.interpolate",
+              "scipy.integrate", "scipy.ndimage")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    probe = ("import sys, d2d_underlay, d2d_underlay.cli; "
+             "print(' '.join(m for m in %r if m in sys.modules))" % (unused,))
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, check=True,
+                          env=dict(os.environ, PYTHONPATH=path))
+    assert done.stdout.split() == []
 
 
 def test_no_subcommand_is_usage_error(capsys):
@@ -272,6 +291,60 @@ def test_unknown_config_key_exits_4(key):
     assert "unknown key %r" % key in err.getvalue()
 
 
+def _float_field(name, **bounds):
+    return st.tuples(st.just(name), st.floats(allow_nan=False,
+                                              allow_infinity=False, **bounds))
+
+
+def _int_field(name, **bounds):
+    return st.tuples(st.just(name), st.integers(**bounds))
+
+
+# every value outside a range-checked field's range, with the other fields
+# at their defaults: 10 pairs on 15 RBs, clusters of radius 50-100 m in a
+# 250 m cell
+OUT_OF_RANGE = st.one_of(
+    _float_field("cell_radius", max_value=100.0, exclude_max=True),
+    _float_field("carrier_freq", max_value=0.0),
+    _float_field("subcarrier_spacing", max_value=0.0),
+    _int_field("num_rbs", max_value=9),
+    _int_field("subcarriers_per_rb", max_value=0),
+    _int_field("num_d2d_pairs", max_value=0),
+    _int_field("num_d2d_pairs", min_value=16),
+    _float_field("cluster_radius_min", max_value=0.0),
+    _float_field("cluster_radius_min", min_value=100.0, exclude_min=True),
+    _float_field("cluster_radius_max", max_value=50.0, exclude_max=True),
+    _float_field("cluster_radius_max", min_value=250.0, exclude_min=True),
+    _float_field("cluster_radius_fixed", max_value=0.0),
+    _float_field("cluster_radius_fixed", min_value=250.0, exclude_min=True),
+    _float_field("cluster_distance_fixed", max_value=0.0, exclude_max=True),
+    _float_field("cluster_distance_fixed", min_value=150.0, exclude_min=True),
+    _float_field("d2d_max_link_factor", max_value=0.0),
+    _int_field("iterations", max_value=0),
+    _int_field("seed", max_value=-1),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(field_value=OUT_OF_RANGE)
+def test_out_of_range_config_value_names_its_field(field_value):
+    name, value = field_value
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "c.cfg")
+        d.save_config(d.ScenarioConfig(), path)
+        with open(path, "a") as fh:
+            fh.write("%s = %r\n" % (name, value))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["validate", "--config", path])
+    assert code == cli.EXIT_INVARIANT
+    assert out.getvalue() == ""
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert name in lines[0]
+    assert repr(value) in lines[0] or "%.1f" % value in lines[0]
+
+
 def test_num_cus_config_key_exits_4(capsys, tmp_path):
     """``num_cus`` follows ``num_rbs`` (one CU per RB) and is not a key."""
     path = tmp_path / "c.cfg"
@@ -312,6 +385,38 @@ def test_non_integral_num_pairs_exits_4(capsys, config_path, fast_tables,
     assert code == cli.EXIT_INVARIANT
     assert "5.7" in err and "integer" in err
     assert not (tmp_path / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("parameter,values,code", [
+    ("num_pairs", "5,5", cli.EXIT_OK),
+    ("num_pairs", "5.0", cli.EXIT_OK),
+    ("num_pairs", "nan", cli.EXIT_INVARIANT),
+    ("num_pairs", "inf", cli.EXIT_INVARIANT),
+    ("num_pairs", "1e400", cli.EXIT_INVARIANT),
+    ("num_pairs", "-3", cli.EXIT_INVARIANT),
+    ("num_pairs", "9,abc", cli.EXIT_USAGE),
+    ("num_pairs", " , ", cli.EXIT_USAGE),
+    ("cluster_distance", "nan", cli.EXIT_INVARIANT),
+    ("cluster_distance", "-5", cli.EXIT_INVARIANT),
+    ("cluster_distance", "1e9", cli.EXIT_INVARIANT),
+])
+def test_sweep_values_parsing(capsys, fast_tables, tmp_path, parameter,
+                              values, code):
+    path = tmp_path / "scenario.cfg"
+    d.save_config(d.with_updates(d.ScenarioConfig(), iterations=2), path)
+    out = tmp_path / "out"
+    got, _, err = _run(capsys, ["sweep", "--config", str(path),
+                                "--parameter", parameter, "--values", values,
+                                "--out", str(out)])
+    assert got == code
+    if code == cli.EXIT_OK:
+        rows = (out / "sweep.csv").read_text().splitlines()
+        assert len(rows) == 1 + len(values.split(","))
+        return
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    if code == cli.EXIT_INVARIANT:
+        assert "sweep point %s = " % parameter.upper() in err
+    assert not (out / "sweep.csv").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -111,6 +111,33 @@ def test_time_sim_fold_matches_offset_loop(interferer, victim, fft_size,
     np.testing.assert_allclose(table.coeffs, ref, rtol=1e-12, atol=0)
 
 
+def direct_xcorr_energy(pulse, windows):
+    """``|sum_u pulse[u] conj(win_i[u + lag])|^2`` summed term by term, at
+    column ``k`` for ``lag = len(win) - 1 - k``, over every overlapping lag."""
+    n_win = windows.shape[1]
+    out = np.empty((windows.shape[0], pulse.size + n_win - 1))
+    for k in range(out.shape[1]):
+        lag = n_win - 1 - k
+        u = np.arange(max(0, -lag), min(pulse.size, n_win - lag))
+        c = (pulse[u][None, :] * np.conj(windows[:, u + lag])).sum(axis=1)
+        out[:, k] = np.abs(c) ** 2
+    return out
+
+
+@pytest.mark.parametrize("fft_size", [64, 128])
+@pytest.mark.parametrize("interferer,victim", PAIRINGS,
+                         ids=["%s->%s" % (a.name, b.name) for a, b in PAIRINGS])
+def test_xcorr_energy_matches_direct_sum(interferer, victim, fft_size):
+    filt = d.build_phydyas_filter(4, fft_size)
+    pulse = wf._interferer_pulse(interferer, filt)[0]
+    win = wf._victim_bank(victim, filt, [-2, 0, 1, 5])[0]
+    e = wf._xcorr_energy(pulse, win)
+    ref = direct_xcorr_energy(pulse, win)
+    assert e.shape == ref.shape
+    scale = ref.max(axis=1, keepdims=True)
+    assert np.all(np.abs(e - ref) <= 1e-12 * scale)
+
+
 def test_phydyas_coefficients():
     p = wf.PHYDYAS_K4_COEFFS
     assert p[0] == 1.0
