@@ -11,8 +11,7 @@ from .waveform import (
     PrototypeFilter, build_phydyas_filter,
     InterferenceTable, BandKernels, TIME_SIM, PSD,
     table_from_time_sim, table_from_psd, build_all_tables,
-    save_table, load_table,
-    UnsupportedParameterError, TableFormatError, TableValidationError,
+    save_table, UnsupportedParameterError, TableValidationError,
 )
 from .geometry import (
     ScenarioConfig, NodePlacement, Layout, ConfigurationError,

@@ -63,11 +63,8 @@ def _build_parser():
     s.add_argument("--jobs", type=int, default=0,
                    help="worker processes (0 = sequential)")
 
-    v = sub.add_parser("validate", help="check a config (and optional tables) "
-                                        "without running")
+    v = sub.add_parser("validate", help="check a config without running")
     v.add_argument("--config", required=True, help="key = value config file")
-    v.add_argument("--tables", default=None,
-                   help="directory of table CSVs to validate")
     return p
 
 
@@ -141,10 +138,6 @@ def _cmd_sweep(args):
 
 def _cmd_validate(args):
     geo.load_config(args.config)
-    if args.tables:
-        names = sorted(n for n in os.listdir(args.tables) if n.endswith(".csv"))
-        for name in names:
-            wf.load_table(os.path.join(args.tables, name))
     print("ok")
     return EXIT_OK
 

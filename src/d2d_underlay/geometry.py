@@ -267,7 +267,10 @@ def load_config(path):
             key = key.strip()
             if key not in _DEFAULTS:
                 raise ConfigurationError("%s:%d: unknown key %r" % (path, ln, key))
-            values[key] = _coerce(key, val)
+            try:
+                values[key] = _coerce(key, val)
+            except ValueError as exc:
+                raise ConfigurationError("%s:%d: %s: %s" % (path, ln, key, exc))
     return ScenarioConfig(**values)
 
 
@@ -291,9 +294,13 @@ def atomic_write(path, text):
     ``path``; on any failure the old file is left as it was."""
     d = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
+    umask = os.umask(0)
+    os.umask(umask)
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
+        # mkstemp creates the file 0600; give it the mode open() would.
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -39,19 +39,8 @@ class UnsupportedParameterError(ValueError):
     """A filter/waveform parameter outside the supported design space."""
 
 
-class TableFormatError(ValueError):
-    """Malformed interference-table file."""
-
-    def __init__(self, message, line=None, column=None):
-        self.line = line
-        self.column = column
-        if line is not None:
-            message = "line %s, column %s: %s" % (line, column, message)
-        super().__init__(message)
-
-
 class TableValidationError(ValueError):
-    """A loaded/constructed table violates a table invariant."""
+    """A table violates a table invariant; ``save_table`` writes no file."""
 
 
 class WaveformType(Enum):
@@ -340,69 +329,11 @@ def build_all_tables(filt, method=TIME_SIM, half_span=DEFAULT_HALF_SPAN,
 # ---------------------------------------------------------------------------
 
 def save_table(table, path):
-    """Write a table as CSV: one header line ending in the reference power 1,
-    then ``l,value`` rows for both signs of ``l``."""
+    """Write a table as CSV: a ``# interferer,victim,method,L`` header, then
+    ``l,value`` rows for both signs of ``l``."""
     table.validate()
-    lines = ["# %s,%s,%s,%d,1" % (table.interferer.name, table.victim.name,
-                                  table.method, table.half_span)]
+    lines = ["# %s,%s,%s,%d" % (table.interferer.name, table.victim.name,
+                                table.method, table.half_span)]
     for l in range(-table.half_span, table.half_span + 1):
         lines.append("%d,%.17g" % (l, table.coeffs[abs(l)]))
     atomic_write(path, "\n".join(lines) + "\n")
-
-
-def _parse_kind(token, line):
-    try:
-        return WaveformType(token)
-    except ValueError:
-        raise TableFormatError("unknown waveform %r" % token, line, 1)
-
-
-def load_table(path):
-    """Parse a table CSV written by :func:`save_table`, check it and divide
-    its coefficients by the header's reference power."""
-    with open(path) as fh:
-        raw = fh.read().splitlines()
-    if not raw or not raw[0].startswith("#"):
-        raise TableFormatError("missing header line", 1, 1)
-    head = [t.strip() for t in raw[0].lstrip("#").split(",")]
-    if len(head) != 5:
-        raise TableFormatError("header needs 5 comma-separated fields", 1, 1)
-    interferer = _parse_kind(head[0], 1)
-    victim = _parse_kind(head[1], 1)
-    if head[2] not in (PSD, TIME_SIM):
-        raise TableFormatError("unknown method %r" % head[2], 1, 3)
-    try:
-        L = int(head[3])
-        ref_power = float(head[4])
-    except ValueError as exc:
-        raise TableFormatError(str(exc), 1, 4)
-    if not (math.isfinite(ref_power) and ref_power > 0.0):
-        raise TableValidationError(
-            "reference power must be finite and positive, got %r" % ref_power)
-    coeffs = {}
-    for ln, row in enumerate(raw[1:], start=2):
-        if not row.strip():
-            continue
-        parts = row.split(",")
-        if len(parts) != 2:
-            raise TableFormatError("expected 'l,value'", ln, 1)
-        try:
-            l = int(parts[0])
-        except ValueError:
-            raise TableFormatError("bad spectral distance %r" % parts[0], ln, 1)
-        try:
-            val = float(parts[1])
-        except ValueError:
-            raise TableFormatError("bad coefficient %r" % parts[1], ln,
-                                   len(parts[0]) + 2)
-        if l in coeffs:
-            raise TableFormatError("duplicate entry for l=%d" % l, ln, 1)
-        coeffs[l] = val
-    if sorted(coeffs) != list(range(-L, L + 1)):
-        raise TableValidationError("rows must list every l in [%d, %d]" % (-L, L))
-    for l in range(1, L + 1):
-        if abs(coeffs[l] - coeffs[-l]) >= 1e-9:
-            raise TableValidationError("table not symmetric at l=%d" % l)
-    one_sided = np.array([coeffs[l] for l in range(L + 1)]) / ref_power
-    return InterferenceTable(interferer=interferer, victim=victim,
-                             coeffs=one_sided, method=head[2]).validate()

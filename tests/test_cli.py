@@ -1,6 +1,7 @@
 import contextlib
 import io
 import os
+import stat
 import subprocess
 import sys
 import tempfile
@@ -121,13 +122,6 @@ def test_missing_config_exits_3(capsys, tmp_path):
     assert err.startswith("error:")
 
 
-def test_missing_tables_dir_exits_3(capsys, config_path, tmp_path):
-    code, _, err = _run(capsys, ["validate", "--config", config_path,
-                                 "--tables", str(tmp_path / "nope")])
-    assert code == cli.EXIT_CONFIG
-    assert err.startswith("error:") and len(err.splitlines()) == 1
-
-
 def test_tables_out_is_a_file_exits_3(capsys, tmp_path):
     blocker = tmp_path / "file"
     blocker.write_text("")
@@ -189,6 +183,23 @@ def test_invalid_config_value_exits_4(capsys, tmp_path):
     code, _, err = _run(capsys, ["validate", "--config", str(path)])
     assert code == cli.EXIT_INVARIANT
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("line", ["num_rbs = 5.0", "cell_radius = abc",
+                                  "layout = diagonal"],
+                         ids=["num_rbs", "cell_radius", "layout"])
+def test_unparsable_config_value_names_key_and_line(capsys, fast_tables,
+                                                    campaigns, tmp_path, line):
+    path = tmp_path / "bad.cfg"
+    path.write_text(line + "\n")
+    out = tmp_path / "out"
+    code, _, err = _run(capsys, ["run", "--config", str(path),
+                                 "--out", str(out)])
+    assert code == cli.EXIT_INVARIANT
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "%s:1: %s:" % (path, line.split(" = ")[0]) in err
+    assert campaigns == []
+    assert not out.exists()
 
 
 def _config_with(tmp_path, line):
@@ -428,7 +439,9 @@ def test_sweep_values_parsing(capsys, fast_tables, tmp_path, parameter,
     ("time", ["all", "fbmc:fbmc"]),
 ], ids=["psd", "time"])
 def test_tables_roundtrip(capsys, tmp_path, method, pairs):
-    """``tables`` writes the tables ``run`` and ``sweep`` build."""
+    """``tables`` writes the tables ``run`` and ``sweep`` build: a
+    ``# interferer,victim,method,L`` header, then every ``l,value`` row in
+    [-L, L] with values that read back bit-equal."""
     built = cli._build_tables(wf.PSD if method == "psd" else wf.TIME_SIM)
     span = wf.DEFAULT_HALF_SPAN
     for pair in pairs:
@@ -439,20 +452,24 @@ def test_tables_roundtrip(capsys, tmp_path, method, pairs):
         assert sorted(msg.split()) == sorted(str(p) for p in out.iterdir())
         written = {}
         for path in out.iterdir():
-            table = wf.load_table(path)
-            key = (table.interferer, table.victim)
+            head = path.read_text().splitlines()[0]
+            a, b, got_method, L = head.lstrip("# ").split(",")
+            key = (wf.WaveformType[a], wf.WaveformType[b])
             assert path.name == "table_%s_%s.csv" % tuple(
                 k.value.lower() for k in key)
-            written[key] = table
+            assert got_method == built[key].method
+            assert int(L) == span
+            rows = np.loadtxt(path, delimiter=",", comments="#")
+            assert rows[:, 0].tolist() == list(range(-span, span + 1))
+            written[key] = rows[:, 1]
         if pair == "all":
             keys = set(built)
         else:
             a, b = pair.split(":")
             keys = {(wf.parse_waveform(a), wf.parse_waveform(b))}
         assert set(written) == keys
-        assert all(t.half_span == span for t in written.values())
-        assert [key for key, t in written.items()
-                if not np.array_equal(t.coeffs, built[key].coeffs)] == []
+        assert [key for key, values in written.items() if not np.array_equal(
+            values, built[key].coeffs[np.abs(np.arange(-span, span + 1))])] == []
 
 
 def test_run_outputs_and_determinism(capsys, config_path, fast_tables, tmp_path):
@@ -466,6 +483,19 @@ def test_run_outputs_and_determinism(capsys, config_path, fast_tables, tmp_path)
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
     header = (out1 / "samples.csv").read_text().splitlines()[0]
     assert header.startswith("iteration,case,")
+
+
+def test_run_outputs_follow_umask(capsys, config_path, fast_tables, tmp_path):
+    old = os.umask(0o022)
+    try:
+        code, _, _ = _run(capsys, ["run", "--config", config_path,
+                                   "--out", str(tmp_path / "out")])
+    finally:
+        os.umask(old)
+    assert code == cli.EXIT_OK
+    assert {p.name: stat.S_IMODE(p.stat().st_mode)
+            for p in (tmp_path / "out").iterdir()} == {
+        "samples.csv": 0o644, "cdf.csv": 0o644, "cdf.gp": 0o644}
 
 
 def test_sweep_outputs(capsys, config_path, fast_tables, tmp_path):
@@ -486,33 +516,10 @@ def test_validate_ok(capsys, config_path, tmp_path):
     assert out.strip() == "ok"
 
 
-def test_validate_with_tables(capsys, config_path, tmp_path, tables):
-    key = (wf.WaveformType.OFDM, wf.WaveformType.OFDM)
-    wf.save_table(tables[key], tmp_path / "t.csv")
-    code, out, _ = _run(capsys, ["validate", "--config", config_path,
-                                 "--tables", str(tmp_path)])
-    assert code == cli.EXIT_OK
-    assert out.strip() == "ok"
-
-
-def test_validate_rejects_corrupt_table(capsys, config_path, tmp_path):
-    (tmp_path / "t.csv").write_text("not,a,table\n")
-    code, _, err = _run(capsys, ["validate", "--config", config_path,
-                                 "--tables", str(tmp_path)])
-    assert code == cli.EXIT_INVARIANT
-    assert err.startswith("error:")
-
-
-@pytest.mark.parametrize("value", ["nan", "inf"])
-def test_validate_rejects_non_finite_table(capsys, config_path, tmp_path,
-                                           value):
-    rows = ["# OFDM,OFDM,PSD,2,1"] + ["%d,%s" % (l, value if abs(l) == 2
-                                                 else "0.1")
-                                      for l in range(-2, 3)]
-    (tmp_path / "t.csv").write_text("\n".join(rows) + "\n")
+def test_validate_has_no_tables_option(capsys, config_path, tmp_path):
     code, out, err = _run(capsys, ["validate", "--config", config_path,
                                    "--tables", str(tmp_path)])
-    assert code == cli.EXIT_INVARIANT
+    assert code == cli.EXIT_USAGE
     assert out == ""
     assert err.startswith("error:") and len(err.splitlines()) == 1
 

@@ -1,4 +1,5 @@
 import os
+import stat
 import tempfile
 from dataclasses import fields
 
@@ -335,6 +336,22 @@ def _writers(tables):
         "save_config": lambda path: d.save_config(cfg, path),
         "gains_to_csv": lambda path: d.gains_to_csv(gains, path),
     }
+
+
+@pytest.mark.parametrize("name", ["save_table", "save_config",
+                                  "gains_to_csv"])
+@pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o002, 0o664)],
+                         ids=["umask022", "umask002"])
+def test_writer_gives_the_mode_open_would(name, umask, mode, tables, tmp_path):
+    """An atomic write leaves the file with ``0o666 & ~umask``, not the
+    temporary file's 0o600."""
+    write = _writers(tables)[name]
+    old = os.umask(umask)
+    try:
+        write(tmp_path / "out")
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE((tmp_path / "out").stat().st_mode) == mode
 
 
 @pytest.mark.parametrize("name", ["save_table", "save_config",

@@ -275,109 +275,11 @@ def test_band_kernels_match_direct_sum(tables):
     assert np.allclose(kern.band, kern.sub.sum(axis=(1, 2)))
 
 
-def test_save_load_round_trip(tmp_path, tables):
-    t = tables[(wf.WaveformType.OFDM, wf.WaveformType.FBMC_OQAM)]
-    path = tmp_path / "t.csv"
-    d.save_table(t, path)
-    back = d.load_table(path)
-    assert np.array_equal(back.coeffs, t.coeffs)
-    assert back.interferer == t.interferer
-    assert back.victim == t.victim
-    assert back.method == t.method
-    assert back.half_span == t.half_span
-
-
-def test_load_rejects_gap(tmp_path):
-    lines = ["# OFDM,OFDM,PSD,4,1"]
-    for l in range(-4, 5):
-        if l == 3:
-            continue
-        lines.append("%d,0.01" % l)
-    path = tmp_path / "gap.csv"
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(d.TableValidationError):
-        d.load_table(path)
-
-
-def test_load_rejects_negative_coefficient(tmp_path):
-    lines = ["# OFDM,OFDM,PSD,2,1"]
-    for l in range(-2, 3):
-        lines.append("%d,%s" % (l, "-0.1" if l == 2 else "0.1"))
-    path = tmp_path / "neg.csv"
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(d.TableValidationError):
-        d.load_table(path)
-
-
-def test_load_parse_error_names_position(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("# OFDM,OFDM,PSD,2,1\n-2,0.1\nnope\n")
-    with pytest.raises(d.TableFormatError) as err:
-        d.load_table(path)
-    assert err.value.line == 3
-
-
-def test_load_rejects_missing_header(tmp_path):
-    path = tmp_path / "nohead.csv"
-    path.write_text("0,1.0\n")
-    with pytest.raises(d.TableFormatError):
-        d.load_table(path)
-
-
-def _table_csv(tmp_path, ref="1", far="0.001", rows=range(-2, 3)):
-    """A 2-span OFDM table file with I(+-2) = ``far`` and the given header
-    reference power."""
-    lines = ["# OFDM,OFDM,PSD,2,%s" % ref]
-    for l in rows:
-        lines.append("%d,%s" % (l, far if abs(l) == 2 else "0.1"))
-    path = tmp_path / "t.csv"
-    path.write_text("\n".join(lines) + "\n")
-    return path
-
-
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-def test_load_rejects_non_finite_coefficient(tmp_path, value):
-    with pytest.raises(d.TableValidationError):
-        d.load_table(_table_csv(tmp_path, far=value))
-
-
-@pytest.mark.parametrize("ref", ["nan", "inf", "-inf", "0", "-1"])
-def test_load_rejects_bad_reference_power(tmp_path, ref):
-    with pytest.raises(d.TableValidationError):
-        d.load_table(_table_csv(tmp_path, ref=ref))
-
-
-def test_load_rejects_coefficient_beyond_span(tmp_path):
-    with pytest.raises(d.TableValidationError, match="every l"):
-        d.load_table(_table_csv(tmp_path, rows=range(-2, 4)))
-
-
-def test_load_rejects_duplicate_row(tmp_path):
-    with pytest.raises(d.TableFormatError, match="duplicate") as err:
-        d.load_table(_table_csv(tmp_path, rows=[-2, -1, 0, 1, 1, 2]))
-    assert err.value.line == 6
-
-
-def test_load_rejects_asymmetric_table(tmp_path):
-    path = _table_csv(tmp_path)
-    path.write_text(path.read_text().replace("\n1,0.1\n", "\n1,0.2\n"))
-    with pytest.raises(d.TableValidationError, match="symmetric"):
-        d.load_table(path)
-
-
-def test_load_divides_by_reference_power(tmp_path, tables):
-    t = tables[(wf.WaveformType.FBMC_OQAM, wf.WaveformType.OFDM)]
-    unit, doubled = tmp_path / "unit.csv", tmp_path / "doubled.csv"
-    d.save_table(t, unit)
-    head, *rows = unit.read_text().splitlines()
-    assert head.endswith(",1")
-    lines = [head[:-1] + "2"]
-    for row in rows:
-        l, value = row.split(",")
-        lines.append("%s,%.17g" % (l, 2.0 * float(value)))
-    doubled.write_text("\n".join(lines) + "\n")
-    a, b = d.load_table(unit), d.load_table(doubled)
-    assert np.array_equal(a.coeffs, b.coeffs)
-    ka, kb = a.band_kernels(15, 12), b.band_kernels(15, 12)
-    for name in ("sub", "by_interferer", "by_victim", "band"):
-        assert np.array_equal(getattr(ka, name), getattr(kb, name))
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, -0.1])
+def test_save_rejects_invalid_coefficient(tmp_path, value):
+    coeffs = np.array([0.5, 0.1, 0.01])
+    coeffs[2] = value
+    table = wf.InterferenceTable(wf.OFDM, wf.OFDM, coeffs)
+    with pytest.raises(d.TableValidationError, match="l=\\[2\\]"):
+        d.save_table(table, tmp_path / "t.csv")
+    assert list(tmp_path.iterdir()) == []
