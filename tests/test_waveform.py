@@ -275,6 +275,24 @@ def test_band_kernels_match_direct_sum(tables):
     assert np.allclose(kern.band, kern.sub.sum(axis=(1, 2)))
 
 
+def test_save_load_round_trip(tmp_path, tables):
+    """The CSV ``save_table`` writes carries the table's header fields and
+    reads back bit-equal with ``np.loadtxt``."""
+    t = tables[(wf.WaveformType.OFDM, wf.WaveformType.FBMC_OQAM)]
+    path = tmp_path / "t.csv"
+    d.save_table(t, path)
+    a, b, method, L = path.read_text().splitlines()[0].lstrip("# ").split(",")
+    assert wf.WaveformType[a] == t.interferer
+    assert wf.WaveformType[b] == t.victim
+    assert method == t.method
+    assert int(L) == t.half_span
+    rows = np.loadtxt(path, delimiter=",", comments="#")
+    span = np.arange(-t.half_span, t.half_span + 1)
+    assert np.array_equal(rows[:, 0], span)
+    assert np.array_equal(rows[:, 1], t.coeffs[np.abs(span)])
+    assert np.array_equal(rows[t.half_span:, 1], t.coeffs)
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, -0.1])
 def test_save_rejects_invalid_coefficient(tmp_path, value):
     coeffs = np.array([0.5, 0.1, 0.01])
