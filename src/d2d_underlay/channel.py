@@ -5,6 +5,7 @@ its own LOS state, so reciprocity is not assumed.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +21,9 @@ class ChannelGains:
     """Linear power gains for every useful and interference channel.
 
     ``h_cu_d2d[i, j]`` is CU i -> D2D receiver j; ``h_d2d_d2d[j, d]`` is D2D
-    transmitter d -> D2D receiver j (diagonal = own link ``h_self``).
+    transmitter d -> D2D receiver j (diagonal = own link ``h_self``).  The
+    gains of a block of snapshots carry a leading block axis on every
+    array; indexing the block gives one snapshot's gains, or a sub-block's.
     """
 
     h_cu_bs: np.ndarray
@@ -32,9 +35,13 @@ class ChannelGains:
     los_cu_d2d: np.ndarray
     los_d2d_d2d: np.ndarray
 
+    def __getitem__(self, index):
+        return ChannelGains(**{name: value[index]
+                               for name, value in vars(self).items()})
+
     @property
     def h_self(self):
-        return np.diagonal(self.h_d2d_d2d)
+        return np.diagonal(self.h_d2d_d2d, axis1=-2, axis2=-1)
 
 
 def los_probability(d):
@@ -63,38 +70,48 @@ def pathloss_db(d, fc, los):
     return np.maximum(pl, 0.0)
 
 
-def _link_gain(dist, fc, rng):
+def _link_gain(dist, fc, u):
+    """Gains and LOS states of links at ``dist``; a link is LOS when its
+    uniform draw ``u`` falls below its LOS probability."""
     d = np.maximum(dist, MIN_DISTANCE)
-    los = rng.uniform(size=d.shape) < los_probability(d)
+    los = u < los_probability(d)
     gain = 10.0 ** (-pathloss_db(d, fc, los) / 10.0)
     return gain, los
 
 
 def gains_from_placement(placement, config, rng):
-    """Draw LOS states and compute all link gains for one topology.
+    """Draw LOS states and compute all link gains for one topology, or for
+    a block of topologies stacked on a leading axis with ``rng`` one
+    generator per snapshot.
 
-    The LOS states are one block of uniform draws in a fixed order: CU->BS,
-    D2D->BS, CU->D2D (row-major over [i, j]), then D2D->D2D (row-major over
-    [j, d]).  This takes the same stream as one draw per link group in that
-    order, so results are reproducible for a given generator state.
+    Each snapshot's LOS states are one block of uniform draws from its
+    generator, in a fixed order: CU->BS, D2D->BS, CU->D2D (row-major over
+    [i, j]), then D2D->D2D (row-major over [j, d]).  This takes the same
+    stream as one draw per link group in that order, so results are
+    reproducible for a given generator state, and every snapshot of a block
+    gets the gains it would get alone.
     """
-    d_cu_bs = np.linalg.norm(placement.cu_pos, axis=1)
-    d_d2d_bs = np.linalg.norm(placement.d2d_tx_pos, axis=1)
+    cu, tx, rx = placement.cu_pos, placement.d2d_tx_pos, placement.d2d_rx_pos
+    lead = cu.shape[:-2]
+    d_cu_bs = np.linalg.norm(cu, axis=-1)
+    d_d2d_bs = np.linalg.norm(tx, axis=-1)
     # [i, j]: CU i to receiver j
-    d_cu_d2d = np.linalg.norm(
-        placement.cu_pos[:, None, :] - placement.d2d_rx_pos[None, :, :], axis=2)
+    d_cu_d2d = np.linalg.norm(cu[..., :, None, :] - rx[..., None, :, :],
+                              axis=-1)
     # [j, d]: transmitter d to receiver j
-    d_d2d_d2d = np.linalg.norm(
-        placement.d2d_tx_pos[None, :, :] - placement.d2d_rx_pos[:, None, :], axis=2)
+    d_d2d_d2d = np.linalg.norm(tx[..., None, :, :] - rx[..., :, None, :],
+                               axis=-1)
 
     groups = (d_cu_bs, d_d2d_bs, d_cu_d2d, d_d2d_d2d)
-    gain, los = _link_gain(np.concatenate([d.ravel() for d in groups]),
-                           config.carrier_freq, rng)
+    dist = np.concatenate([d.reshape(lead + (-1,)) for d in groups], axis=-1)
+    u = np.stack([r.uniform(size=dist.shape[-1])
+                  for r in (rng if lead else [rng])]).reshape(dist.shape)
+    gain, los = _link_gain(dist, config.carrier_freq, u)
     h, s, start = [], [], 0
     for d in groups:
-        end = start + d.size
-        h.append(gain[start:end].reshape(d.shape))
-        s.append(los[start:end].reshape(d.shape))
+        end = start + math.prod(d.shape[len(lead):])
+        h.append(gain[..., start:end].reshape(d.shape))
+        s.append(los[..., start:end].reshape(d.shape))
         start = end
     return ChannelGains(h_cu_bs=h[0], h_d2d_bs=h[1], h_cu_d2d=h[2],
                         h_d2d_d2d=h[3], los_cu_bs=s[0], los_d2d_bs=s[1],

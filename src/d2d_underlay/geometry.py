@@ -129,7 +129,8 @@ class ScenarioConfig:
 
 @dataclass
 class NodePlacement:
-    """One sampled topology; positions are (x, y) in metres, BS at origin."""
+    """One sampled topology; positions are (x, y) in metres, BS at origin.
+    A block of topologies stacks the position arrays on a leading axis."""
 
     cu_pos: np.ndarray
     d2d_tx_pos: np.ndarray

@@ -4,6 +4,10 @@ Conventions: RB ``r`` occupies subcarriers ``[r*S, r*S + S - 1]`` of a
 contiguous band (S = subcarriers per RB); CU transmit power is spread
 uniformly over the 12 subcarriers of its RB; noise is per-subcarrier, with
 the per-RB aggregate ``S * noise_sc`` used in the CU SINR.
+
+The D2D interference, SINR and cost functions also take a block of
+snapshots: gains, D2D powers and RB maps stacked on a leading block axis.
+Each snapshot of a block gets the values it would get alone.
 """
 from __future__ import annotations
 
@@ -16,7 +20,11 @@ from .waveform import WaveformType
 
 @dataclass
 class SpectrumMap:
-    """RB occupancy: which CU owns each RB and which RB each pair reuses."""
+    """RB occupancy: which CU owns each RB and which RB each pair reuses.
+
+    A block of snapshots stacks ``rb_of_cu`` and ``rb_of_d2d`` on a leading
+    axis; ``validate`` checks one snapshot's map.
+    """
 
     rb_of_cu: np.ndarray
     num_rbs: int
@@ -99,28 +107,32 @@ def i_cu_matrix(gains, powers, table, smap):
     must be OFDM -> victim-waveform."""
     kern = table.band_kernels(smap.num_rbs, smap.subcarriers_per_rb)
     # victim subcarrier m of pair j, summed over the CU's interfering RB
-    d = _offset_index(smap, smap.rb_of_d2d[None, :], smap.rb_of_cu[:, None])
-    w = kern.by_victim[d]                         # (CU, pair, m)
+    d = _offset_index(smap, smap.rb_of_d2d[..., None, :],
+                      smap.rb_of_cu[..., :, None])
+    w = kern.by_victim[d]                         # (..., CU, pair, m)
     p_sc = powers.p_cu / smap.subcarriers_per_rb
-    return np.einsum("ij,i,ijm->jm", gains.h_cu_d2d, p_sc, w)
+    return np.einsum("...ij,...i,...ijm->...jm", gains.h_cu_d2d, p_sc, w)
 
 
 def i_d2d_matrix(gains, powers, table, smap):
     """Inter-D2D interference at every (pair, subcarrier) in W; the table is
     the D2D waveform against itself."""
     kern = table.band_kernels(smap.num_rbs, smap.subcarriers_per_rb)
-    d = _offset_index(smap, smap.rb_of_d2d[:, None], smap.rb_of_d2d[None, :])
-    w = kern.sub[d]                               # (j, d, n, m): interferer n -> victim m
-    h = gains.h_d2d_d2d.copy()
-    np.fill_diagonal(h, 0.0)                      # a pair does not jam itself
-    return np.einsum("jd,dn,jdnm->jm", h, powers.p_d2d, w)
+    d = _offset_index(smap, smap.rb_of_d2d[..., :, None],
+                      smap.rb_of_d2d[..., None, :])
+    # (..., j, d, n, m): interferer subcarrier n -> victim subcarrier m
+    w = kern.sub[d]
+    # a pair does not jam itself
+    h = np.where(np.eye(d.shape[-1], dtype=bool), 0.0, gains.h_d2d_d2d)
+    return np.einsum("...jd,...dn,...jdnm->...jm", h, powers.p_d2d, w)
 
 
 def d2d_sinr_matrices(gains, powers, tables, smap, noise_sc, d2d_kind):
-    """(actual, predicted) linear SINR arrays of shape (pairs, subcarriers)."""
+    """(actual, predicted) linear SINR arrays of shape (pairs, subcarriers),
+    behind the block axis of a block."""
     i_cu = i_cu_matrix(gains, powers, tables[(WaveformType.OFDM, d2d_kind)], smap)
     i_dd = i_d2d_matrix(gains, powers, tables[(d2d_kind, d2d_kind)], smap)
-    num = powers.p_d2d * gains.h_self[:, None]
+    num = powers.p_d2d * gains.h_self[..., None]
     actual = num / (noise_sc + i_cu + i_dd)
     predicted = num / (noise_sc + i_cu)
     return actual, predicted
@@ -131,8 +143,8 @@ def cu_to_d2d_cost_matrix(gains, powers, table, smap):
     assignment cost matrix.  The table must be OFDM -> D2D-waveform."""
     kern = table.band_kernels(smap.num_rbs, smap.subcarriers_per_rb)
     rbs = np.arange(smap.num_rbs)
-    d = _offset_index(smap, rbs[None, :], smap.rb_of_cu[:, None])
-    w = kern.band[d]                              # (CU, RB)
+    d = _offset_index(smap, rbs, smap.rb_of_cu[..., :, None])
+    w = kern.band[d]                              # (..., CU, RB)
     p_sc = powers.p_cu / smap.subcarriers_per_rb
-    return np.einsum("ij,i,ir->jr", gains.h_cu_d2d, p_sc, w)
+    return np.einsum("...ij,...i,...ir->...jr", gains.h_cu_d2d, p_sc, w)
 

@@ -4,9 +4,16 @@ Each iteration draws one topology and one set of channel gains, then runs
 the full assignment + power-loading pipeline twice, once per D2D waveform,
 on that identical snapshot.  The pairing removes topology variance from the
 waveform comparison.
+
+A campaign runs in blocks of ``BLOCK_SIZE`` snapshots, fixed by snapshot
+index.  Each snapshot draws from its own generator; the block stacks the
+arithmetic of gains, cost matrices, SINR and rates, while the assignment and
+the power loading stay per snapshot and case.  No snapshot's result depends
+on its block-mates, so a report is the same for any ``jobs``.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -20,6 +27,7 @@ from .geometry import ConfigurationError, atomic_write
 from .waveform import WaveformType
 
 CDF_GRID_POINTS = 200
+BLOCK_SIZE = 16
 
 
 class EmptyReportError(RuntimeError):
@@ -51,6 +59,9 @@ class IterationResult:
     cluster_radius: float
     cluster_distance: float
     num_pairs: int
+    status: al.SolverStatus     # outcome of the case's power-loading solve
+    newton_steps: int
+    kkt_residual: float
 
 
 @dataclass
@@ -64,6 +75,7 @@ class RateReport:
     cdf_grid: np.ndarray
     cdf: dict                   # (Case, "actual"|"predicted") -> values
     summary: dict               # (Case, variant, stat) -> float
+    solver_status: dict         # SolverStatus -> number of cases
     results: list = field(default_factory=list)   # (iteration, IterationResult)
 
 
@@ -72,74 +84,116 @@ def rate_from_sinr(sinr, subcarrier_spacing):
     return subcarrier_spacing * np.log2(1.0 + np.asarray(sinr, dtype=float))
 
 
-def _pair_rates(sinr_matrix, config):
-    """Mean over pairs of each pair's 12-subcarrier rate sum, bit/s."""
-    per_pair = rate_from_sinr(sinr_matrix, config.subcarrier_spacing).sum(axis=1)
-    return float(per_pair.mean())
+def _pair_rates(sinr, config):
+    """Mean over pairs of each pair's 12-subcarrier rate sum, bit/s, for
+    each snapshot of a block."""
+    per_pair = rate_from_sinr(sinr, config.subcarrier_spacing).sum(axis=-1)
+    return per_pair.mean(axis=-1)
 
 
-def run_iteration(config, tables, seed_stream):
-    """One snapshot, both waveform cases; returns a two-element list.  A case
-    whose power loading is skipped (negative CU headroom) is infeasible and
-    has zero rates."""
-    rng = np.random.default_rng(seed_stream)
-    placement = geo.sample_placement(config, rng)
-    gains = ch.gains_from_placement(placement, config, rng)
-    smap = itf.random_cu_map(config, rng)
-    cu_powers = itf.uniform_cu_powers(config)
+def _case_rates(gains, rb_of_cu, solves, tables, config, kind):
+    """Predicted and actual mean pair rates, bit/s, of every snapshot of a
+    block in one case, from its (assignment, power-loading result) solves;
+    a skipped snapshot's rates are 0."""
+    rates = np.zeros((2, len(solves)))
+    feasible = [k for k, (_, res) in enumerate(solves)
+                if res.status is not al.SolverStatus.INFEASIBLE_SKIPPED]
+    if feasible:
+        powers = itf.PowerAllocation(
+            p_d2d=np.stack([solves[k][1].powers.p_d2d for k in feasible]),
+            p_cu=itf.uniform_cu_powers(config))
+        smap = itf.SpectrumMap(
+            rb_of_cu=rb_of_cu[feasible], num_rbs=config.num_rbs,
+            subcarriers_per_rb=config.subcarriers_per_rb,
+            rb_of_d2d=np.stack([solves[k][0].rb_of_pair for k in feasible]))
+        actual, predicted = itf.d2d_sinr_matrices(
+            gains[feasible], powers, tables, smap,
+            config.noise_per_subcarrier_w, kind)
+        rates[0, feasible] = _pair_rates(predicted, config)
+        rates[1, feasible] = _pair_rates(actual, config)
+    return rates
+
+
+def run_iteration(config, tables, streams):
+    """One block of snapshots, one per seed stream, both waveform cases of
+    each; returns one two-element list per snapshot.  A case whose power
+    loading is skipped (negative CU headroom) is infeasible and has zero
+    rates.
+
+    Each snapshot draws its placement, its LOS uniforms and its CU map from
+    its own generator.  Gains, cost matrices, SINR and rates are computed
+    for the whole block at once; the assignment and the power loading run
+    per snapshot and case, OFDM then FBMC.
+    """
+    rngs = [np.random.default_rng(stream) for stream in streams]
+    placements = [geo.sample_placement(config, rng) for rng in rngs]
+    block = geo.NodePlacement(*(np.stack([getattr(p, name) for p in placements])
+                                for name in ("cu_pos", "d2d_tx_pos",
+                                             "d2d_rx_pos")))
+    gains = ch.gains_from_placement(block, config, rngs)
+    maps = [itf.random_cu_map(config, rng) for rng in rngs]
+    rb_of_cu = np.stack([m.rb_of_cu for m in maps])
     zero = itf.PowerAllocation(
         p_d2d=np.zeros((config.num_d2d_pairs, config.subcarriers_per_rb)),
-        p_cu=cu_powers)
-    radius = (placement.cluster_radius if placement.cluster_radius is not None
-              else float("nan"))
-    distance = (float(np.linalg.norm(placement.cluster_centre))
-                if placement.cluster_centre is not None else float("nan"))
+        p_cu=itf.uniform_cu_powers(config))
+    block_map = itf.SpectrumMap(rb_of_cu=rb_of_cu, num_rbs=config.num_rbs,
+                                subcarriers_per_rb=config.subcarriers_per_rb)
+    costs = [itf.cu_to_d2d_cost_matrix(
+        gains, zero, tables[(WaveformType.OFDM, case.waveform)], block_map)
+        for case in Case]
 
-    out = []
-    for case in Case:
-        kind = case.waveform
-        cost = itf.cu_to_d2d_cost_matrix(
-            gains, zero, tables[(WaveformType.OFDM, kind)], smap)
-        assignment = al.hungarian(cost)
-        solved = al.power_loading(assignment, gains, tables, smap, config, kind)
-        # the CU headroom does not depend on the waveform, so a snapshot is
-        # skipped in both cases or in neither
-        feasible = solved.status is not al.SolverStatus.INFEASIBLE_SKIPPED
-        rate_predicted = rate_actual = 0.0
-        if feasible:
-            actual, predicted = itf.d2d_sinr_matrices(
-                gains, solved.powers, tables,
-                smap.with_assignment(assignment.rb_of_pair),
-                config.noise_per_subcarrier_w, kind)
-            rate_predicted = _pair_rates(predicted, config)
-            rate_actual = _pair_rates(actual, config)
-        out.append(IterationResult(
-            case=case, rate_predicted=rate_predicted, rate_actual=rate_actual,
-            feasible=feasible, cluster_radius=radius,
-            cluster_distance=distance, num_pairs=config.num_d2d_pairs))
+    solves = [[] for _ in Case]     # [case][snapshot] -> (assignment, result)
+    for k, smap in enumerate(maps):
+        snapshot = gains[k]
+        for case, cost, done in zip(Case, costs, solves):
+            assignment = al.hungarian(cost[k])
+            done.append((assignment, al.power_loading(
+                assignment, snapshot, tables, smap, config, case.waveform)))
+
+    clusters = [(p.cluster_radius, float(np.linalg.norm(p.cluster_centre)))
+                if p.cluster_centre is not None else (np.nan, np.nan)
+                for p in placements]
+    out = [[] for _ in placements]
+    for case, done in zip(Case, solves):
+        rates = _case_rates(gains, rb_of_cu, done, tables, config,
+                            case.waveform)
+        for k, (radius, distance) in enumerate(clusters):
+            res = done[k][1]
+            out[k].append(IterationResult(
+                case=case, rate_predicted=float(rates[0, k]),
+                rate_actual=float(rates[1, k]),
+                # the CU headroom does not depend on the waveform, so a
+                # snapshot is skipped in both cases or in neither
+                feasible=res.status is not al.SolverStatus.INFEASIBLE_SKIPPED,
+                cluster_radius=radius, cluster_distance=distance,
+                num_pairs=config.num_d2d_pairs, status=res.status,
+                newton_steps=res.iterations_used,
+                kkt_residual=res.kkt_residual))
     return out
 
 
 def run_campaign(config, tables, jobs=0):
     """Aggregate ``config.iterations`` independent snapshots into a report.
 
-    ``jobs > 1`` distributes iterations over worker processes; each iteration
-    owns a spawned seed stream, so the report is identical for any degree.
+    Snapshots run in blocks of ``BLOCK_SIZE``, fixed by snapshot index;
+    ``jobs > 1`` distributes the blocks over worker processes.  Each
+    snapshot owns a spawned seed stream and its result does not depend on
+    its block-mates, so the report is identical for any degree.
     """
     if jobs < 0:
         raise ValueError("jobs must be >= 0, got %d" % jobs)
     streams = np.random.SeedSequence(config.seed).spawn(config.iterations)
-    results = []
+    blocks = [streams[i:i + BLOCK_SIZE]
+              for i in range(0, len(streams), BLOCK_SIZE)]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            batches = pool.map(run_iteration, [config] * len(streams),
-                               [tables] * len(streams), streams, chunksize=16)
-            for it, batch in enumerate(batches):
-                results.extend((it, r) for r in batch)
+            done = list(pool.map(run_iteration, [config] * len(blocks),
+                                 [tables] * len(blocks), blocks))
     else:
-        for it, stream in enumerate(streams):
-            results.extend((it, r) for r in run_iteration(config, tables, stream))
+        done = [run_iteration(config, tables, block) for block in blocks]
+    results = [(it, r) for it, pair
+               in enumerate(itertools.chain.from_iterable(done)) for r in pair]
     return build_report(results, config.iterations)
 
 
@@ -147,7 +201,9 @@ def build_report(results, iterations):
     actual = {c: [] for c in Case}
     predicted = {c: [] for c in Case}
     skipped_iters = set()
+    solver_status = {status: 0 for status in al.SolverStatus}
     for it, r in results:
+        solver_status[r.status] += 1
         if not r.feasible:
             skipped_iters.add(it)
             continue
@@ -175,7 +231,8 @@ def build_report(results, iterations):
             summary[(c, name, "p95")] = float(np.percentile(samples, 95))
     return RateReport(iterations=iterations, skipped=len(skipped_iters),
                       actual=actual, predicted=predicted, cdf_grid=grid,
-                      cdf=cdf, summary=summary, results=results)
+                      cdf=cdf, summary=summary, solver_status=solver_status,
+                      results=results)
 
 
 def sweep_configs(config, parameter, values):

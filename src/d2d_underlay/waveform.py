@@ -232,7 +232,7 @@ def _xcorr_energy(pulse, windows):
 
 
 def table_from_time_sim(interferer, victim, filt, half_span,
-                        num_offsets, seed, timing_offsets=None):
+                        num_offsets, seed, timing_offsets=None, bank=None):
     """Offset-averaged leakage table from a time-domain receiver model.
 
     One interferer subcarrier transmits an endless stream of unit-power random
@@ -245,7 +245,9 @@ def table_from_time_sim(interferer, victim, filt, half_span,
     given seed.
 
     ``timing_offsets`` forces an explicit list of timing offsets (in samples)
-    instead of random draws; used for calibration tests.
+    instead of random draws; used for calibration tests.  ``bank`` is the
+    victim's ``_victim_bank`` at offsets ``0..half_span`` when the caller
+    has built it already.
 
     Averaged over timing offsets, I(l) is the interferer's PSD weighted by
     the victim's window response, times the real-part factor, over the
@@ -261,7 +263,9 @@ def table_from_time_sim(interferer, victim, filt, half_span,
         raise ValueError("num_offsets must be >= 100")
     pulse, t_int, var_int = _interferer_pulse(interferer, filt)
     ls = np.arange(0, half_span + 1)
-    win, t_vic, tau_span, re_factor, useful = _victim_bank(victim, filt, ls)
+    if bank is None:
+        bank = _victim_bank(victim, filt, ls)
+    win, t_vic, tau_span, re_factor, useful = bank
 
     rng = np.random.default_rng(seed)
     if timing_offsets is not None:
@@ -311,7 +315,12 @@ def table_from_psd(interferer, victim, filt, half_span):
 
 def build_all_tables(filt, method=TIME_SIM, half_span=DEFAULT_HALF_SPAN,
                      num_offsets=400, seed=0):
-    """All four (interferer, victim) pairings, keyed by WaveformType pairs."""
+    """All four (interferer, victim) pairings, keyed by WaveformType pairs.
+    A time-sim build shares each victim's analysis bank between both
+    interferers."""
+    if method != PSD:
+        banks = {b: _victim_bank(b, filt, np.arange(0, half_span + 1))
+                 for b in WaveformType}
     tables = {}
     for i, a in enumerate(WaveformType):
         for j, b in enumerate(WaveformType):
@@ -319,7 +328,7 @@ def build_all_tables(filt, method=TIME_SIM, half_span=DEFAULT_HALF_SPAN,
                 t = table_from_psd(a, b, filt, half_span)
             else:
                 t = table_from_time_sim(a, b, filt, half_span, num_offsets,
-                                        seed + 7 * i + j)
+                                        seed + 7 * i + j, bank=banks[b])
             tables[(a, b)] = t
     return tables
 

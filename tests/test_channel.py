@@ -69,7 +69,7 @@ def test_gains_determinism(rng):
 
 def test_los_fraction_matches_probability(rng):
     dist = np.full(10_000, 50.0)
-    _, los = ch._link_gain(dist, 700e6, rng)
+    _, los = ch._link_gain(dist, 700e6, rng.uniform(size=dist.shape))
     assert los.mean() == pytest.approx(d.los_probability(50.0), abs=0.02)
 
 
@@ -91,7 +91,8 @@ def loop_gains(placement, config, rng):
     groups = (np.linalg.norm(cu, axis=1), np.linalg.norm(tx, axis=1),
               np.linalg.norm(cu[:, None, :] - rx[None, :, :], axis=2),
               np.linalg.norm(tx[None, :, :] - rx[:, None, :], axis=2))
-    return [ch._link_gain(dist, config.carrier_freq, rng) for dist in groups]
+    return [ch._link_gain(dist, config.carrier_freq,
+                          rng.uniform(size=dist.shape)) for dist in groups]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 17])
@@ -114,3 +115,25 @@ def test_gains_match_one_draw_per_link_group(updates, seed):
             assert np.array_equal(h, h_ref)
             assert np.array_equal(los, los_ref)
         assert np.array_equal(rng.random(4), expected_next)
+
+
+def test_block_gains_match_each_snapshot_alone():
+    """Placements stacked on a leading block axis, with one generator per
+    snapshot, get bit for bit the gains each snapshot gets alone."""
+    cfg = d.with_updates(d.ScenarioConfig(), layout=d.Layout.NON_CLUSTERED)
+    rngs = [np.random.default_rng(seed) for seed in range(5)]
+    placements = [d.sample_placement(cfg, rng) for rng in rngs]
+    states = [rng.bit_generator.state for rng in rngs]
+    alone = [d.gains_from_placement(p, cfg, rng)
+             for p, rng in zip(placements, rngs)]
+    for rng, state in zip(rngs, states):
+        rng.bit_generator.state = state
+    block = d.NodePlacement(*(np.stack([getattr(p, name) for p in placements])
+                              for name in ("cu_pos", "d2d_tx_pos",
+                                           "d2d_rx_pos")))
+    g = d.gains_from_placement(block, cfg, rngs)
+    assert g.h_cu_d2d.shape == (5, cfg.num_cus, cfg.num_d2d_pairs)
+    for k, gk in enumerate(alone):
+        for name, value in vars(gk).items():
+            assert np.array_equal(getattr(g[k], name), value)
+        assert np.array_equal(g[k].h_self, gk.h_self)

@@ -18,7 +18,7 @@ def test_rate_from_sinr_values():
 
 def test_single_pair_no_gap(tables):
     cfg = d.with_updates(d.ScenarioConfig(), num_d2d_pairs=1)
-    results = d.run_iteration(cfg, tables, np.random.SeedSequence(4))
+    [results] = d.run_iteration(cfg, tables, [np.random.SeedSequence(4)])
     assert len(results) == 2
     for r in results:
         assert r.feasible
@@ -27,7 +27,7 @@ def test_single_pair_no_gap(tables):
 
 def test_iteration_paired_and_dominated(tables):
     cfg = d.ScenarioConfig()
-    results = d.run_iteration(cfg, tables, np.random.SeedSequence(4))
+    [results] = d.run_iteration(cfg, tables, [np.random.SeedSequence(4)])
     cases = {r.case for r in results}
     assert cases == {sim.Case.D2D_OFDM, sim.Case.D2D_FBMC}
     for r in results:
@@ -82,6 +82,51 @@ def test_campaign_parallel_matches_sequential(tables):
     b = d.run_campaign(cfg, tables, jobs=2)
     for c in sim.Case:
         assert np.array_equal(a.actual[c], b.actual[c])
+
+
+def test_blocks_independent_of_jobs_and_block_mates(tmp_path, tables):
+    """17 snapshots make one full block and one snapshot alone.  The report
+    is the same at jobs=0 and jobs=2, and every snapshot's results equal
+    those of ``run_iteration`` on its own stream alone, so no snapshot's
+    arithmetic depends on its block-mates."""
+    cfg = d.with_updates(d.ScenarioConfig(), iterations=sim.BLOCK_SIZE + 1)
+    seq = d.run_campaign(cfg, tables)
+    pooled = d.run_campaign(cfg, tables, jobs=2)
+    d.write_samples_csv(seq, tmp_path / "seq.csv")
+    d.write_samples_csv(pooled, tmp_path / "pooled.csv")
+    assert (tmp_path / "seq.csv").read_bytes() == \
+        (tmp_path / "pooled.csv").read_bytes()
+    assert seq.results == pooled.results
+    streams = np.random.SeedSequence(cfg.seed).spawn(cfg.iterations)
+    for it, stream in enumerate(streams):
+        [alone] = d.run_iteration(cfg, tables, [stream])
+        assert [r for i, r in seq.results if i == it] == alone
+
+
+def test_report_counts_max_iter_apart(tables, monkeypatch):
+    """Each case result carries its solve's status, Newton steps and KKT
+    residual, and the report counts every status, so a MAX_ITER solve is
+    not mistaken for an OPTIMAL one.  This campaign holds the known solver
+    stall (11 pairs, seed 951026653); the counts must match what a recorder
+    on ``al.power_loading`` sees, whatever the solver does with it."""
+    solves = []
+    power_loading = al.power_loading
+
+    def record(*args):
+        solves.append(power_loading(*args))
+        return solves[-1]
+
+    monkeypatch.setattr(al, "power_loading", record)
+    cfg = d.with_updates(d.ScenarioConfig(), num_d2d_pairs=11,
+                         seed=951026653, iterations=8)
+    rep = d.run_campaign(cfg, tables)
+    assert [(r.status, r.newton_steps, r.kkt_residual)
+            for _, r in rep.results] == \
+        [(s.status, s.iterations_used, s.kkt_residual) for s in solves]
+    for status in al.SolverStatus:
+        assert rep.solver_status[status] == sum(s.status is status
+                                                for s in solves)
+    assert sum(rep.solver_status.values()) == 2 * cfg.iterations
 
 
 def test_campaign_rejects_negative_jobs(tables):
@@ -153,8 +198,8 @@ def test_infeasible_iteration_marks_both_cases(tables):
     # waveform-dependent skip would show as a split
     cfg = d.with_updates(d.ScenarioConfig(), cu_min_sinr=47.0)
     outcomes = []
-    for stream in np.random.SeedSequence(cfg.seed).spawn(100):
-        results = d.run_iteration(cfg, tables, stream)
+    streams = np.random.SeedSequence(cfg.seed).spawn(100)
+    for results in d.run_iteration(cfg, tables, streams):
         flags = [r.feasible for r in results]
         assert len(set(flags)) == 1          # never split across cases
         if not flags[0]:
