@@ -129,7 +129,7 @@ def i_d2d_matrix(gains, powers, table, smap):
 
 def d2d_sinr_matrices(gains, powers, tables, smap, noise_sc, d2d_kind):
     """(actual, predicted) linear SINR arrays of shape (pairs, subcarriers),
-    behind the block axis of a block."""
+    with a leading block axis for a block."""
     i_cu = i_cu_matrix(gains, powers, tables[(WaveformType.OFDM, d2d_kind)], smap)
     i_dd = i_d2d_matrix(gains, powers, tables[(d2d_kind, d2d_kind)], smap)
     num = powers.p_d2d * gains.h_self[..., None]

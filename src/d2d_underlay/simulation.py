@@ -127,9 +127,9 @@ def run_iteration(config, tables, streams):
     """
     rngs = [np.random.default_rng(stream) for stream in streams]
     placements = [geo.sample_placement(config, rng) for rng in rngs]
-    block = geo.NodePlacement(*(np.stack([getattr(p, name) for p in placements])
-                                for name in ("cu_pos", "d2d_tx_pos",
-                                             "d2d_rx_pos")))
+    block = geo.NodePlacement(
+        *(np.stack([getattr(p, name) for p in placements])
+          for name in ("cu_pos", "d2d_tx_pos", "d2d_rx_pos")))
     gains = ch.gains_from_placement(block, config, rngs)
     maps = [itf.random_cu_map(config, rng) for rng in rngs]
     rb_of_cu = np.stack([m.rb_of_cu for m in maps])

@@ -315,21 +315,24 @@ def table_from_psd(interferer, victim, filt, half_span):
 
 def build_all_tables(filt, method=TIME_SIM, half_span=DEFAULT_HALF_SPAN,
                      num_offsets=400, seed=0):
-    """All four (interferer, victim) pairings, keyed by WaveformType pairs.
-    A time-sim build shares each victim's analysis bank between both
-    interferers."""
-    if method != PSD:
-        banks = {b: _victim_bank(b, filt, np.arange(0, half_span + 1))
-                 for b in WaveformType}
-    tables = {}
-    for i, a in enumerate(WaveformType):
-        for j, b in enumerate(WaveformType):
+    """All four (interferer, victim) pairings, keyed by WaveformType pairs
+    in interferer-major order.  A time-sim build makes each victim's
+    analysis bank once, for both interferers, and holds one bank at a
+    time."""
+    tables = dict.fromkeys((a, b) for a in WaveformType for b in WaveformType)
+    for j, b in enumerate(WaveformType):
+        bank = (None if method == PSD
+                else _victim_bank(b, filt, np.arange(0, half_span + 1)))
+        for i, a in enumerate(WaveformType):
             if method == PSD:
                 t = table_from_psd(a, b, filt, half_span)
             else:
                 t = table_from_time_sim(a, b, filt, half_span, num_offsets,
-                                        seed + 7 * i + j, bank=banks[b])
+                                        seed + 7 * i + j, bank=bank)
             tables[(a, b)] = t
+        # freed before the next bank is built, which keeps set-up's peak
+        # memory at one bank
+        del bank
     return tables
 
 
