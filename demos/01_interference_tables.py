@@ -23,7 +23,7 @@ def main():
     os.makedirs(args.out, exist_ok=True)
 
     filt = build_phydyas_filter(4, 512)
-    tables = build_all_tables(filt, num_offsets=args.offsets, seed=0)
+    tables = build_all_tables(filt, num_offsets=args.offsets)
 
     print("Mean leaked power per spectral distance l (fraction of a unit-power")
     print("subcarrier), averaged over %d timing offsets:\n" % args.offsets)

@@ -34,8 +34,7 @@ def main():
     args = ap.parse_args()
     os.makedirs(args.out, exist_ok=True)
 
-    tables = build_all_tables(build_phydyas_filter(4, 512),
-                              num_offsets=400, seed=0)
+    tables = build_all_tables(build_phydyas_filter(4, 512), num_offsets=400)
     cfg = with_updates(ScenarioConfig(), iterations=args.iterations)
 
     for parameter, values in SWEEPS:

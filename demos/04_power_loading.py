@@ -28,8 +28,7 @@ def main():
 
     cfg = with_updates(ScenarioConfig(), num_d2d_pairs=args.pairs)
     kind = WaveformType.FBMC_OQAM
-    tables = build_all_tables(build_phydyas_filter(4, 512),
-                              num_offsets=400, seed=0)
+    tables = build_all_tables(build_phydyas_filter(4, 512), num_offsets=400)
 
     rng = np.random.default_rng(args.seed)
     placement = sample_placement(cfg, rng)

@@ -44,14 +44,6 @@ class Assignment:
 
     rb_of_pair: np.ndarray
 
-    def validate(self, num_rbs):
-        rbs = self.rb_of_pair.tolist()
-        if len(set(rbs)) != len(rbs):
-            raise ValueError("assignment must be injective")
-        if rbs and not (0 <= min(rbs) and max(rbs) < num_rbs):
-            raise ValueError("assignment out of RB range")
-        return self
-
     def total_cost(self, cost):
         return float(cost[np.arange(len(self.rb_of_pair)), self.rb_of_pair].sum())
 
@@ -72,8 +64,8 @@ class PowerLoadingResult:
 def hungarian(cost):
     """Minimum-cost injective assignment of pairs (rows) to RBs (columns).
 
-    Exact ties between optimal assignments are broken toward the lowest RB
-    indices by an infinitesimal column bias, so the result is deterministic.
+    Ties between optimal assignments are left to ``linear_sum_assignment``,
+    which is deterministic.
     """
     cost = np.asarray(cost, dtype=float)
     if cost.ndim != 2:
@@ -84,11 +76,9 @@ def hungarian(cost):
     if m > r:
         raise InfeasibleAssignmentError(
             "%d pairs cannot share %d RBs injectively" % (m, r))
-    scale = max(np.abs(cost).max(initial=0.0), 1.0)
-    # bias far below any representable cost gap; breaks ties only
-    biased = cost + (1e-12 * scale / max(r, 1)) * np.arange(r)[None, :]
-    rows, cols = linear_sum_assignment(biased)
-    return Assignment(rb_of_pair=cols[np.argsort(rows)]).validate(r)
+    # with no more rows than columns, every row is assigned, in order
+    _, cols = linear_sum_assignment(cost)
+    return Assignment(rb_of_pair=cols)
 
 
 def cu_constraint_coefficients(gains, tables, smap, cu_powers, config, d2d_kind):

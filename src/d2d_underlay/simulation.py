@@ -14,7 +14,7 @@ on its block-mates, so a report is the same for any ``jobs``.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
@@ -91,27 +91,18 @@ def _pair_rates(sinr, config):
     return per_pair.mean(axis=-1)
 
 
-def _case_rates(gains, rb_of_cu, solves, tables, config, kind):
+def _case_rates(gains, block_map, solves, tables, config, kind):
     """Predicted and actual mean pair rates, bit/s, of every snapshot of a
     block in one case, from its (assignment, power-loading result) solves;
-    a skipped snapshot's rates are 0."""
-    rates = np.zeros((2, len(solves)))
-    feasible = [k for k, (_, res) in enumerate(solves)
-                if res.status is not al.SolverStatus.INFEASIBLE_SKIPPED]
-    if feasible:
-        powers = itf.PowerAllocation(
-            p_d2d=np.stack([solves[k][1].powers.p_d2d for k in feasible]),
-            p_cu=itf.uniform_cu_powers(config))
-        smap = itf.SpectrumMap(
-            rb_of_cu=rb_of_cu[feasible], num_rbs=config.num_rbs,
-            subcarriers_per_rb=config.subcarriers_per_rb,
-            rb_of_d2d=np.stack([solves[k][0].rb_of_pair for k in feasible]))
-        actual, predicted = itf.d2d_sinr_matrices(
-            gains[feasible], powers, tables, smap,
-            config.noise_per_subcarrier_w, kind)
-        rates[0, feasible] = _pair_rates(predicted, config)
-        rates[1, feasible] = _pair_rates(actual, config)
-    return rates
+    a skipped snapshot's zero powers give it rates of exactly 0."""
+    powers = itf.PowerAllocation(
+        p_d2d=np.stack([res.powers.p_d2d for _, res in solves]),
+        p_cu=itf.uniform_cu_powers(config))
+    smap = replace(
+        block_map, rb_of_d2d=np.stack([a.rb_of_pair for a, _ in solves]))
+    actual, predicted = itf.d2d_sinr_matrices(
+        gains, powers, tables, smap, config.noise_per_subcarrier_w, kind)
+    return _pair_rates(predicted, config), _pair_rates(actual, config)
 
 
 def run_iteration(config, tables, streams):
@@ -132,12 +123,12 @@ def run_iteration(config, tables, streams):
           for name in ("cu_pos", "d2d_tx_pos", "d2d_rx_pos")))
     gains = ch.gains_from_placement(block, config, rngs)
     maps = [itf.random_cu_map(config, rng) for rng in rngs]
-    rb_of_cu = np.stack([m.rb_of_cu for m in maps])
     zero = itf.PowerAllocation(
         p_d2d=np.zeros((config.num_d2d_pairs, config.subcarriers_per_rb)),
         p_cu=itf.uniform_cu_powers(config))
-    block_map = itf.SpectrumMap(rb_of_cu=rb_of_cu, num_rbs=config.num_rbs,
-                                subcarriers_per_rb=config.subcarriers_per_rb)
+    block_map = itf.SpectrumMap(
+        rb_of_cu=np.stack([m.rb_of_cu for m in maps]), num_rbs=config.num_rbs,
+        subcarriers_per_rb=config.subcarriers_per_rb)
     costs = [itf.cu_to_d2d_cost_matrix(
         gains, zero, tables[(WaveformType.OFDM, case.waveform)], block_map)
         for case in Case]
@@ -155,13 +146,13 @@ def run_iteration(config, tables, streams):
                 for p in placements]
     out = [[] for _ in placements]
     for case, done in zip(Case, solves):
-        rates = _case_rates(gains, rb_of_cu, done, tables, config,
-                            case.waveform)
+        predicted, actual = _case_rates(gains, block_map, done, tables,
+                                        config, case.waveform)
         for k, (radius, distance) in enumerate(clusters):
             res = done[k][1]
             out[k].append(IterationResult(
-                case=case, rate_predicted=float(rates[0, k]),
-                rate_actual=float(rates[1, k]),
+                case=case, rate_predicted=float(predicted[k]),
+                rate_actual=float(actual[k]),
                 # the CU headroom does not depend on the waveform, so a
                 # snapshot is skipped in both cases or in neither
                 feasible=res.status is not al.SolverStatus.INFEASIBLE_SKIPPED,

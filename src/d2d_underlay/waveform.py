@@ -313,22 +313,22 @@ def table_from_psd(interferer, victim, filt, half_span):
                              method=PSD).validate()
 
 
-def build_all_tables(filt, method=TIME_SIM, half_span=DEFAULT_HALF_SPAN,
-                     num_offsets=400, seed=0):
-    """All four (interferer, victim) pairings, keyed by WaveformType pairs
-    in interferer-major order.  A time-sim build makes each victim's
-    analysis bank once, for both interferers, and holds one bank at a
-    time."""
+def build_all_tables(filt, method=TIME_SIM, num_offsets=400):
+    """All four (interferer, victim) pairings at ``DEFAULT_HALF_SPAN``,
+    keyed by WaveformType pairs in interferer-major order.  A time-sim
+    build draws pairing (i, j)'s offsets from seed ``7 * i + j``, makes
+    each victim's analysis bank once, for both interferers, and holds one
+    bank at a time."""
     tables = dict.fromkeys((a, b) for a in WaveformType for b in WaveformType)
     for j, b in enumerate(WaveformType):
         bank = (None if method == PSD
-                else _victim_bank(b, filt, np.arange(0, half_span + 1)))
+                else _victim_bank(b, filt, np.arange(DEFAULT_HALF_SPAN + 1)))
         for i, a in enumerate(WaveformType):
             if method == PSD:
-                t = table_from_psd(a, b, filt, half_span)
+                t = table_from_psd(a, b, filt, DEFAULT_HALF_SPAN)
             else:
-                t = table_from_time_sim(a, b, filt, half_span, num_offsets,
-                                        seed + 7 * i + j, bank=bank)
+                t = table_from_time_sim(a, b, filt, DEFAULT_HALF_SPAN,
+                                        num_offsets, 7 * i + j, bank=bank)
             tables[(a, b)] = t
         # freed before the next bank is built, which keeps set-up's peak
         # memory at one bank

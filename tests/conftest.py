@@ -17,7 +17,7 @@ def filt512():
 @pytest.fixture(scope="session")
 def tables(filt512):
     """Offset-averaged tables at production fidelity, shared by the suite."""
-    return d.build_all_tables(filt512, num_offsets=400, seed=0)
+    return d.build_all_tables(filt512, num_offsets=400)
 
 
 @pytest.fixture(scope="session")

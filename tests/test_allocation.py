@@ -33,11 +33,14 @@ def test_hungarian_trivial_cases():
 
 
 def test_hungarian_matches_exhaustive_search(rng):
+    # 1e-12 is the physical scale of campaign costs, in W
     for _ in range(100):
         cost = rng.uniform(0, 1, size=(6, 8))
-        a = al.hungarian(cost)
-        assert a.total_cost(cost) == pytest.approx(brute_best_cost(cost),
-                                                   rel=1e-12)
+        best = brute_best_cost(cost)
+        for scale in (1.0, 1e-12):
+            a = al.hungarian(cost * scale)
+            assert a.total_cost(cost * scale) == pytest.approx(
+                best * scale, rel=1e-12, abs=0)
 
 
 def test_hungarian_rejects_overload():

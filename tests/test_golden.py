@@ -7,8 +7,9 @@ write must hash to the digest recorded in ``data/golden_sha256.json``.
 
 A change meant to keep results identical passes unchanged.  A deliberate
 model change (for example exact, seedless leakage tables) re-records the
-digests with ``PYTHONPATH=src python tests/test_golden.py`` and says so,
-with the reason, in CHANGES.md.
+digests with ``PYTHONPATH=src python tests/test_golden.py``, which prints
+each changed digest as ``name/file old → new`` (or ``no digest changed``),
+and says so, with the reason, in CHANGES.md.
 """
 import hashlib
 import json
@@ -71,4 +72,11 @@ if __name__ == "__main__":
     import tempfile
     with tempfile.TemporaryDirectory() as tmp:
         record = {name: _digests(name, Path(tmp)) for name in sorted(COMMANDS)}
+    old = json.loads(GOLDEN.read_text())
+    changed = ["%s/%s %s → %s" % (name, fname,
+                                  old.get(name, {}).get(fname), digest)
+               for name in sorted(record)
+               for fname, digest in sorted(record[name].items())
+               if old.get(name, {}).get(fname) != digest]
+    print("\n".join(changed) or "no digest changed")
     GOLDEN.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")

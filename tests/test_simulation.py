@@ -199,12 +199,15 @@ def test_infeasible_iteration_marks_both_cases(tables):
     cfg = d.with_updates(d.ScenarioConfig(), cu_min_sinr=47.0)
     outcomes = []
     streams = np.random.SeedSequence(cfg.seed).spawn(100)
-    for results in d.run_iteration(cfg, tables, streams):
+    for stream, results in zip(streams, d.run_iteration(cfg, tables, streams)):
         flags = [r.feasible for r in results]
         assert len(set(flags)) == 1          # never split across cases
         if not flags[0]:
             assert all(r.rate_actual == r.rate_predicted == 0.0
                        for r in results)
+        # skipped block-mates, with their zero powers, leave every
+        # snapshot's results as they are alone
+        assert results == d.run_iteration(cfg, tables, [stream])[0]
         outcomes.append(flags[0])
     assert 0 < sum(outcomes) < len(outcomes), sum(outcomes)
 
