@@ -19,7 +19,6 @@ from .geometry import (
 )
 from .channel import (
     ChannelGains, los_probability, pathloss_db, gains_from_placement,
-    gains_to_csv,
 )
 from .interference import (
     SpectrumMap, PowerAllocation, random_cu_map, uniform_cu_powers,

@@ -44,9 +44,6 @@ class Assignment:
 
     rb_of_pair: np.ndarray
 
-    def total_cost(self, cost):
-        return float(cost[np.arange(len(self.rb_of_pair)), self.rb_of_pair].sum())
-
 
 @dataclass
 class PowerLoadingResult:

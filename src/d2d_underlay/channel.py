@@ -10,8 +10,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import atomic_write
-
 BS_HEIGHT = 10.0        # m
 MIN_DISTANCE = 3.0      # m; shorter links are clamped (model extrapolation)
 
@@ -30,10 +28,6 @@ class ChannelGains:
     h_d2d_bs: np.ndarray
     h_cu_d2d: np.ndarray
     h_d2d_d2d: np.ndarray
-    los_cu_bs: np.ndarray
-    los_d2d_bs: np.ndarray
-    los_cu_d2d: np.ndarray
-    los_d2d_d2d: np.ndarray
 
     def __getitem__(self, index):
         return ChannelGains(**{name: value[index]
@@ -106,33 +100,10 @@ def gains_from_placement(placement, config, rng):
     dist = np.concatenate([d.reshape(lead + (-1,)) for d in groups], axis=-1)
     u = np.stack([r.uniform(size=dist.shape[-1])
                   for r in (rng if lead else [rng])]).reshape(dist.shape)
-    gain, los = _link_gain(dist, config.carrier_freq, u)
-    h, s, start = [], [], 0
+    gain, _ = _link_gain(dist, config.carrier_freq, u)
+    h, start = [], 0
     for d in groups:
         end = start + math.prod(d.shape[len(lead):])
         h.append(gain[..., start:end].reshape(d.shape))
-        s.append(los[..., start:end].reshape(d.shape))
         start = end
-    return ChannelGains(h_cu_bs=h[0], h_d2d_bs=h[1], h_cu_d2d=h[2],
-                        h_d2d_d2d=h[3], los_cu_bs=s[0], los_d2d_bs=s[1],
-                        los_cu_d2d=s[2], los_d2d_d2d=s[3])
-
-
-def gains_to_csv(gains, path):
-    """Debug dump: ``link_type,i,j,gain_db,los`` rows."""
-    rows = ["link_type,i,j,gain_db,los"]
-    for i, (g, s) in enumerate(zip(gains.h_cu_bs, gains.los_cu_bs)):
-        rows.append("cu_bs,%d,0,%.9g,%d" % (i, 10 * np.log10(g), s))
-    for j, (g, s) in enumerate(zip(gains.h_d2d_bs, gains.los_d2d_bs)):
-        rows.append("d2d_bs,%d,0,%.9g,%d" % (j, 10 * np.log10(g), s))
-    for i in range(gains.h_cu_d2d.shape[0]):
-        for j in range(gains.h_cu_d2d.shape[1]):
-            rows.append("cu_d2d,%d,%d,%.9g,%d"
-                        % (i, j, 10 * np.log10(gains.h_cu_d2d[i, j]),
-                           gains.los_cu_d2d[i, j]))
-    for j in range(gains.h_d2d_d2d.shape[0]):
-        for d in range(gains.h_d2d_d2d.shape[1]):
-            rows.append("d2d_d2d,%d,%d,%.9g,%d"
-                        % (j, d, 10 * np.log10(gains.h_d2d_d2d[j, d]),
-                           gains.los_d2d_d2d[j, d]))
-    atomic_write(path, "\n".join(rows) + "\n")
+    return ChannelGains(*h)

@@ -54,17 +54,23 @@ def test_criterion_1_assignment_matches_exhaustive_search(report_line):
     rng = np.random.default_rng(0)
     perms = np.array(list(itertools.permutations(range(8), 6)))
     rows = np.arange(6)
-    mismatches = 0
+    # U(0, 1) costs, and the same costs at 1e-12 W, the scale of campaign
+    # costs
+    scales = (1.0, 1e-12)
+    mismatches = dict.fromkeys(scales, 0)
     for _ in range(100):
-        cost = rng.uniform(0.0, 1.0, size=(6, 8))
-        ours = al.hungarian(cost).total_cost(cost)
-        best = cost[rows[None, :], perms].sum(axis=1).min()
-        if ours != best:
-            mismatches += 1
+        unit = rng.uniform(0.0, 1.0, size=(6, 8))
+        for scale in scales:
+            cost = unit * scale
+            ours = cost[rows, al.hungarian(cost).rb_of_pair].sum()
+            best = cost[rows, perms].sum(axis=1).min()
+            if ours != best:
+                mismatches[scale] += 1
     elapsed = time.perf_counter() - t0
-    report_line(1, mismatches == 0 and elapsed < 1.0,
-                "100 random 6x8 assignments, %d exhaustive-search mismatches, "
-                "%.2f s (budget 1 s)" % (mismatches, elapsed))
+    report_line(1, not any(mismatches.values()) and elapsed < 1.0,
+                "100 random 6x8 assignments, exhaustive-search mismatches "
+                "%d at x1 and %d at x1e-12 W, %.2f s (budget 1 s)"
+                % (mismatches[1.0], mismatches[1e-12], elapsed))
 
 
 def test_criterion_2_power_loading_kkt_and_grid_oracle(tables, report_line):

@@ -327,19 +327,14 @@ class _FailingFile:
 
 def _writers(tables):
     cfg = d.with_updates(d.ScenarioConfig(), num_d2d_pairs=2)
-    rng = np.random.default_rng(5)
-    placement = d.sample_placement(cfg, rng)
-    gains = d.gains_from_placement(placement, cfg, rng)
     table = next(iter(tables.values()))
     return {
         "save_table": lambda path: d.save_table(table, path),
         "save_config": lambda path: d.save_config(cfg, path),
-        "gains_to_csv": lambda path: d.gains_to_csv(gains, path),
     }
 
 
-@pytest.mark.parametrize("name", ["save_table", "save_config",
-                                  "gains_to_csv"])
+@pytest.mark.parametrize("name", ["save_table", "save_config"])
 @pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o002, 0o664)],
                          ids=["umask022", "umask002"])
 def test_writer_gives_the_mode_open_would(name, umask, mode, tables, tmp_path):
@@ -354,8 +349,7 @@ def test_writer_gives_the_mode_open_would(name, umask, mode, tables, tmp_path):
     assert stat.S_IMODE((tmp_path / "out").stat().st_mode) == mode
 
 
-@pytest.mark.parametrize("name", ["save_table", "save_config",
-                                  "gains_to_csv"])
+@pytest.mark.parametrize("name", ["save_table", "save_config"])
 def test_writer_failing_midway_keeps_previous_file(name, tables, tmp_path,
                                                    monkeypatch):
     write = _writers(tables)[name]
