@@ -11,12 +11,12 @@ import argparse
 
 import numpy as np
 
-from d2d_underlay import (PowerAllocation, ScenarioConfig, build_all_tables,
-                          build_phydyas_filter, cu_sinr_all,
-                          cu_to_d2d_cost_matrix, d2d_sinr_matrices,
-                          gains_from_placement, hungarian, power_loading,
-                          random_cu_map, sample_placement, uniform_cu_powers,
-                          with_updates)
+from d2d_underlay import (PowerAllocation, ScenarioConfig,
+                          build_all_tables, build_phydyas_filter,
+                          cu_sinr_all, cu_to_d2d_cost_matrix,
+                          d2d_sinr_matrices, gains_from_placement, hungarian,
+                          power_loading, random_cu_map, sample_placement,
+                          uniform_cu_powers, with_updates)
 from d2d_underlay.waveform import WaveformType
 
 
