@@ -1,6 +1,7 @@
 """Monte Carlo topologies: cell, cellular users and clustered D2D pairs."""
 from __future__ import annotations
 
+import math
 import os
 import tempfile
 from dataclasses import dataclass, fields, replace
@@ -84,6 +85,11 @@ class ScenarioConfig:
         if self.cluster_distance_fixed is not None and self.cluster_distance_fixed < 0:
             raise ConfigurationError("cluster_distance_fixed must be >= 0, "
                                      "got %r" % self.cluster_distance_fixed)
+        if (self.layout is Layout.NON_CLUSTERED
+                and self.cluster_distance_fixed is not None):
+            raise ConfigurationError(
+                "cluster_distance_fixed (%r) places a cluster, but layout is "
+                "NON_CLUSTERED" % self.cluster_distance_fixed)
         if self.layout is Layout.CLUSTERED:
             radius = self.cluster_radius_bound
             distance = self.cluster_distance_fixed
@@ -148,55 +154,32 @@ def _uniform_disc(rng, radius, centre=(0.0, 0.0), size=None):
 
 
 def _draw_receivers(rng, tx, max_link, cell_radius):
-    """Each transmitter's receiver, at uniform angle and uniform distance in
-    (0, max_link], resampled to stay in the cell and off the 3 m floor.
-
-    The draws are those of a per-pair loop that tries each pair up to
-    _MAX_RESAMPLE times, in pair order, then falls back: one block holds an
-    (angle, distance) candidate for every pair still open, the pairs before
-    the first rejected candidate keep theirs, and the generator is rewound
-    to just after the rejected draw.
-    """
-    n = len(tx)
+    """Each transmitter's receiver, pair by pair, at uniform angle and
+    uniform distance in [0, max_link), resampled to stay in the cell.  A
+    pair's first _MAX_RESAMPLE draws must also clear the 3 m floor from every
+    transmitter, its own included (so d = 0 is rejected); the next
+    _MAX_RESAMPLE need only the cell, and the channel clamps distances."""
+    pts = tx.tolist()
+    max_link = float(max_link)
     rx = np.empty_like(tx)
-    scale = np.array([2.0 * np.pi, max_link])
-    i = tries = 0
-    while i < n:
-        if tries == _MAX_RESAMPLE:
-            rx[i] = _fallback_rx(rng, tx[i], max_link, cell_radius)
-            i, tries = i + 1, 0
-            continue
-        state = rng.bit_generator.state
-        phi, d = (rng.random((n - i, 2)) * scale).T
-        direction = np.stack([np.cos(phi), np.sin(phi)], axis=1)
-        cand = tx[i:] + d[:, None] * direction
-        ok = ((d != 0.0) & (np.linalg.norm(cand, axis=1) <= cell_radius)
-              & (np.linalg.norm(tx[None, :, :] - cand[:, None, :], axis=2)
-                 .min(axis=1) >= MIN_LINK_DISTANCE))
-        k = n - i if ok.all() else int(ok.argmin())
-        rx[i:i + k] = cand[:k]
-        if i + k < n:
-            # the rejected candidate is the block's last, or is redrawn
-            if i + k + 1 < n:
-                rng.bit_generator.state = state
-                rng.random(2 * (k + 1))
-            tries = (tries if k == 0 else 0) + 1
-        i += k
+    for i, (x0, y0) in enumerate(pts):
+        for tries in range(2 * _MAX_RESAMPLE):
+            u, v = rng.random(2).tolist()
+            phi, d = 2.0 * np.pi * u, max_link * v
+            x = x0 + d * float(np.cos(phi))
+            y = y0 + d * float(np.sin(phi))
+            if math.sqrt(x * x + y * y) <= cell_radius and (
+                    tries >= _MAX_RESAMPLE or min(
+                        math.sqrt((a - x) * (a - x) + (b - y) * (b - y))
+                        for a, b in pts) >= MIN_LINK_DISTANCE):
+                rx[i] = x, y
+                break
+        else:
+            raise ConfigurationError(
+                "no receiver within %.1f m of the transmitter at (%.1f, %.1f) "
+                "m lies in the cell after %d draws"
+                % (max_link, x0, y0, _MAX_RESAMPLE))
     return rx
-
-
-def _fallback_rx(rng, tx, max_link, cell_radius):
-    """Any in-cell candidate, off the floor or not; the channel clamps
-    distances."""
-    for _ in range(_MAX_RESAMPLE):
-        phi = rng.uniform(0.0, 2.0 * np.pi)
-        d = rng.uniform(0.0, max_link)
-        rx = tx + d * np.array([np.cos(phi), np.sin(phi)])
-        if np.linalg.norm(rx) <= cell_radius:
-            return rx
-    raise ConfigurationError(
-        "no receiver within %.1f m of the transmitter at (%.1f, %.1f) m lies "
-        "in the cell after %d draws" % (max_link, tx[0], tx[1], _MAX_RESAMPLE))
 
 
 def _assemble(config, rng, centre, radius):
@@ -256,8 +239,13 @@ def _coerce(name, text):
 def load_config(path):
     """Read a ``key = value`` config file (# comments) into a ScenarioConfig."""
     values = {}
-    with open(path) as fh:
-        for ln, raw in enumerate(fh, start=1):
+    with open(path, encoding="utf-8") as fh:
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            # an unreadable file, as the CLI counts it (exit 3)
+            raise OSError("%s: not UTF-8 text: %s" % (path, exc)) from None
+        for ln, raw in enumerate(lines, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue

@@ -260,6 +260,49 @@ def test_run_rejects_random_cluster_beyond_cell(capsys, fast_tables,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("line,argv", [
+    ("cluster_distance_fixed = 100", ["validate"]),
+    ("cluster_distance_fixed = 100", ["run"]),
+    ("", ["sweep", "--parameter", "cluster_distance",
+          "--values", "0,100,200"]),
+], ids=["validate", "run", "sweep"])
+def test_cluster_distance_needs_clustered_layout(capsys, fast_tables,
+                                                 campaigns, tmp_path, line,
+                                                 argv):
+    """Without a cluster, a fixed cluster distance would be ignored."""
+    path = _config_with(tmp_path, "layout = non_clustered\n" + line)
+    out = tmp_path / "out"
+    argv = argv[:1] + ["--config", path] + argv[1:]
+    if argv[0] != "validate":
+        argv += ["--out", str(out)]
+    code, stdout, err = _run(capsys, argv)
+    assert code == cli.EXIT_INVARIANT
+    assert stdout == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "cluster_distance_fixed" in err and "NON_CLUSTERED" in err
+    assert campaigns == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_config_not_utf8_exits_3_naming_the_file(capsys, fast_tables,
+                                                 campaigns, tmp_path,
+                                                 command):
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(b"num_rbs = 15\n\xff\n")
+    out = tmp_path / "out"
+    argv = [command, "--config", str(path)]
+    if command == "run":
+        argv += ["--out", str(out)]
+    code, stdout, err = _run(capsys, argv)
+    assert code == cli.EXIT_CONFIG
+    assert stdout == ""
+    assert err.startswith("error: %s: not UTF-8 text" % path)
+    assert len(err.splitlines()) == 1
+    assert campaigns == []
+    assert not out.exists()
+
+
 def test_validate_rejects_negative_seed(capsys, tmp_path):
     path = _config_with(tmp_path, "seed = -1")
     code, out, err = _run(capsys, ["validate", "--config", path])

@@ -221,8 +221,9 @@ def test_draw_rx_fallback_is_bounded(rng):
 
 
 def loop_draw_rx(rng, tx, max_link, cell_radius, all_tx, rejected=None):
-    """Oracle: one receiver by the per-pair loop that block draws replace.
-    Appends the reason of each rejected draw to ``rejected``, if given."""
+    """Oracle: one receiver by the per-pair loop, written with
+    ``rng.uniform`` and ``np.linalg.norm``.  Appends the reason of each
+    rejected draw to ``rejected``, if given."""
     rejected = [] if rejected is None else rejected
     for _ in range(geo._MAX_RESAMPLE):
         phi = rng.uniform(0.0, 2.0 * np.pi)
@@ -283,7 +284,7 @@ def test_sample_placement_matches_per_pair_loop(name, seed, monkeypatch):
         expected = [d.sample_placement(cfg, rng) for _ in range(20)]
     expected_next = rng.random(4)
     if seed == 1:
-        # the rewind after a rejection and the fallback are both reached
+        # the config's rejections and any fallback are reached
         assert STREAM_REJECTIONS[name] <= set(rejected)
     rng = np.random.default_rng(seed)
     actual = [d.sample_placement(cfg, rng) for _ in range(20)]
@@ -292,6 +293,42 @@ def test_sample_placement_matches_per_pair_loop(name, seed, monkeypatch):
             assert np.array_equal(getattr(a, arr), getattr(b, arr))
         assert a.cluster_radius == b.cluster_radius
     assert np.array_equal(rng.random(4), expected_next)
+
+
+class _Scripted:
+    """A stand-in generator that returns the given values in order."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def random(self, n):
+        out, self.values = self.values[:n], self.values[n:]
+        return np.array(out)
+
+    def uniform(self, low, high):
+        return low + (high - low) * self.random(1)[0]
+
+
+@pytest.mark.parametrize("script,reasons,on_tx", [
+    # (angle, distance) fractions: a zero distance, then 10 m at pi/2
+    ([0.25, 0.0, 0.25, 0.5], ["zero"], False),
+    # 200 draws of 2 m fail the floor; the fallback takes a zero distance
+    ([0.5, 0.1] * geo._MAX_RESAMPLE + [0.25, 0.0],
+     ["floor"] * geo._MAX_RESAMPLE + ["fallback"], True),
+], ids=["rejected", "fallback"])
+def test_zero_distance_draw_is_redrawn_until_the_fallback(script, reasons,
+                                                         on_tx):
+    tx = np.array([[10.0, 0.0]])
+    rejected = []
+    expected = loop_draw_receivers(_Scripted(script), tx, 20.0, 250.0,
+                                   rejected)
+    assert rejected == reasons
+    rng = _Scripted(script)
+    rx = geo._draw_receivers(rng, tx, 20.0, 250.0)
+    assert np.array_equal(rx, expected) and rng.values == []
+    assert np.array_equal(rx, tx) == on_tx
+    if not on_tx:
+        assert rx[0] == pytest.approx([10.0, 10.0])
 
 
 @pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937,
