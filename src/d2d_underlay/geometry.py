@@ -145,12 +145,10 @@ class NodePlacement:
     cluster_radius: float | None = None
 
 
-def _uniform_disc(rng, radius, centre=(0.0, 0.0), size=None):
-    n = 1 if size is None else size
-    r = radius * np.sqrt(rng.uniform(size=n))
-    phi = rng.uniform(0.0, 2.0 * np.pi, size=n)
-    pts = np.stack([r * np.cos(phi), r * np.sin(phi)], axis=1) + np.asarray(centre)
-    return pts[0] if size is None else pts
+def _uniform_disc(rng, radius, size, centre=(0.0, 0.0)):
+    r = radius * np.sqrt(rng.uniform(size=size))
+    phi = rng.uniform(0.0, 2.0 * np.pi, size=size)
+    return np.stack([r * np.cos(phi), r * np.sin(phi)], axis=1) + np.asarray(centre)
 
 
 def _draw_receivers(rng, tx, max_link, cell_radius):
@@ -178,7 +176,7 @@ def _draw_receivers(rng, tx, max_link, cell_radius):
             raise ConfigurationError(
                 "no receiver within %.1f m of the transmitter at (%.1f, %.1f) "
                 "m lies in the cell after %d draws"
-                % (max_link, x0, y0, _MAX_RESAMPLE))
+                % (max_link, x0, y0, 2 * _MAX_RESAMPLE))
     return rx
 
 
@@ -206,7 +204,7 @@ def sample_placement(config, rng):
     if radius is None:
         radius = rng.uniform(config.cluster_radius_min, config.cluster_radius_max)
     if config.cluster_distance_fixed is None:
-        centre = _uniform_disc(rng, config.cell_radius - radius)
+        centre = _uniform_disc(rng, config.cell_radius - radius, 1)[0]
     else:
         phi = rng.uniform(0.0, 2.0 * np.pi)
         centre = config.cluster_distance_fixed * np.array([np.cos(phi),

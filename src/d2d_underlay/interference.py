@@ -90,15 +90,13 @@ def d2d_to_cu_coefficients(gains, table, smap):
     return gains.h_d2d_bs[None, :, None] * kern.by_interferer[d]
 
 
-def cu_sinr_all(gains, powers, tables, smap, noise_sc, d2d_kind=None):
-    """Linear SINR of every CU at the BS (per-RB aggregation)."""
+def cu_sinr_all(gains, powers, tables, smap, noise_sc, d2d_kind):
+    """Linear SINR of every CU at the BS (per-RB aggregation), with the
+    leakage of the pairs that ``smap`` assigns, in waveform ``d2d_kind``."""
     sigma2 = noise_sc * smap.subcarriers_per_rb
-    if smap.rb_of_d2d is None or d2d_kind is None:
-        interference = 0.0
-    else:
-        c = d2d_to_cu_coefficients(
-            gains, tables[(d2d_kind, WaveformType.OFDM)], smap)
-        interference = np.einsum("ijm,jm->i", c, powers.p_d2d)
+    c = d2d_to_cu_coefficients(
+        gains, tables[(d2d_kind, WaveformType.OFDM)], smap)
+    interference = np.einsum("ijm,jm->i", c, powers.p_d2d)
     return powers.p_cu * gains.h_cu_bs / (sigma2 + interference)
 
 

@@ -8,8 +8,9 @@ of the two (asynchronous) links.  Tables can be produced two ways:
 * ``table_from_psd``   -- integrate the interferer's power spectral density
   over the victim subcarrier band (ignores the victim's receive filtering).
 * ``table_from_time_sim`` -- baseband time-domain model of the victim
-  demodulator applied to the interferer's signal, averaged over random timing
-  offsets; symbol randomness is averaged in closed form.
+  demodulator applied to the interferer's signal, averaged over the given
+  timing offsets (``build_all_tables`` draws them); symbol randomness is
+  averaged in closed form.
 """
 from __future__ import annotations
 
@@ -231,23 +232,18 @@ def _xcorr_energy(pulse, windows):
     return np.square(e, out=e)
 
 
-def table_from_time_sim(interferer, victim, filt, half_span,
-                        num_offsets, seed, timing_offsets=None, bank=None):
+def table_from_time_sim(interferer, victim, filt, half_span, timing_offsets,
+                        bank=None):
     """Offset-averaged leakage table from a time-domain receiver model.
 
     One interferer subcarrier transmits an endless stream of unit-power random
     symbols; the victim demodulator is applied at spectral offsets
-    ``l in [-half_span, half_span]`` under timing offsets drawn uniformly over
-    one victim symbol duration (integer-sample resolution).  The expectation
-    over the random symbols and over the interferer's carrier phase is taken
-    in closed form, so only the offsets are sampled, and the sum over
-    interferer symbols is a fold by their period.  Deterministic for a
-    given seed.
-
-    ``timing_offsets`` forces an explicit list of timing offsets (in samples)
-    instead of random draws; used for calibration tests.  ``bank`` is the
-    victim's ``_victim_bank`` at offsets ``0..half_span`` when the caller
-    has built it already.
+    ``l in [-half_span, half_span]`` and averaged over exactly the given
+    ``timing_offsets`` (integer samples).  The expectation over the random
+    symbols and over the interferer's carrier phase is taken in closed form,
+    and the sum over interferer symbols is a fold by their period.  ``bank``
+    is the victim's ``_victim_bank`` at offsets ``0..half_span`` when the
+    caller has built it already.
 
     Averaged over timing offsets, I(l) is the interferer's PSD weighted by
     the victim's window response, times the real-part factor, over the
@@ -259,19 +255,12 @@ def table_from_time_sim(interferer, victim, filt, half_span,
     """
     if half_span < 1:
         raise ValueError("half_span must be >= 1")
-    if timing_offsets is None and num_offsets < 100:
-        raise ValueError("num_offsets must be >= 100")
     pulse, t_int, var_int = _interferer_pulse(interferer, filt)
     ls = np.arange(0, half_span + 1)
     if bank is None:
         bank = _victim_bank(victim, filt, ls)
-    win, t_vic, tau_span, re_factor, useful = bank
-
-    rng = np.random.default_rng(seed)
-    if timing_offsets is not None:
-        taus = np.asarray(timing_offsets, dtype=int)
-    else:
-        taus = rng.integers(0, tau_span, size=num_offsets)
+    win, t_vic, _, re_factor, useful = bank
+    taus = np.asarray(timing_offsets, dtype=int)
 
     # Interferer symbol s meets victim output v at cross-correlation index
     # len(window) - 1 + tau + v*t_vic - s*t_int, so the sum over all s reads
@@ -299,12 +288,8 @@ def table_from_psd(interferer, victim, filt, half_span):
     :func:`table_from_time_sim`.
     """
     N = filt.fft_size
-    if interferer is OFDM:
-        pulse = np.ones(N + int(round(interferer.cp_ratio * N)))
-    else:
-        pulse = filt.impulse_response
     m = PSD_PAD_FACTOR * N
-    psd = np.abs(np.fft.fft(pulse, m)) ** 2
+    psd = np.abs(np.fft.fft(_interferer_pulse(interferer, filt)[0], m)) ** 2
     f = np.fft.fftfreq(m) * N    # frequency in subcarrier spacings
     bands = [psd[(f > l - 0.5) & (f <= l + 0.5)].sum()
              for l in range(half_span + 1)]
@@ -316,20 +301,25 @@ def table_from_psd(interferer, victim, filt, half_span):
 def build_all_tables(filt, method=TIME_SIM, num_offsets=400):
     """All four (interferer, victim) pairings at ``DEFAULT_HALF_SPAN``,
     keyed by WaveformType pairs in interferer-major order.  A time-sim
-    build draws pairing (i, j)'s offsets from seed ``7 * i + j``, makes
-    each victim's analysis bank once, for both interferers, and holds one
-    bank at a time."""
-    tables = dict.fromkeys((a, b) for a in WaveformType for b in WaveformType)
+    build averages pairing (i, j) over ``num_offsets`` (at least 100)
+    timing offsets drawn uniformly over the victim's offset span from seed
+    ``7 * i + j``, makes each victim's analysis bank once, for both
+    interferers, and holds one bank at a time."""
+    if num_offsets < 100:
+        raise ValueError("num_offsets must be >= 100")
+    pairings = [(a, b) for a in WaveformType for b in WaveformType]
+    if method == PSD:
+        return {(a, b): table_from_psd(a, b, filt, DEFAULT_HALF_SPAN)
+                for a, b in pairings}
+    tables = dict.fromkeys(pairings)
     for j, b in enumerate(WaveformType):
-        bank = (None if method == PSD
-                else _victim_bank(b, filt, np.arange(DEFAULT_HALF_SPAN + 1)))
+        bank = _victim_bank(b, filt, np.arange(DEFAULT_HALF_SPAN + 1))
+        tau_span = bank[2]
         for i, a in enumerate(WaveformType):
-            if method == PSD:
-                t = table_from_psd(a, b, filt, DEFAULT_HALF_SPAN)
-            else:
-                t = table_from_time_sim(a, b, filt, DEFAULT_HALF_SPAN,
-                                        num_offsets, 7 * i + j, bank=bank)
-            tables[(a, b)] = t
+            taus = np.random.default_rng(7 * i + j).integers(
+                0, tau_span, size=num_offsets)
+            tables[(a, b)] = table_from_time_sim(a, b, filt, DEFAULT_HALF_SPAN,
+                                                 taus, bank=bank)
         # freed before the next bank is built, which keeps set-up's peak
         # memory at one bank
         del bank

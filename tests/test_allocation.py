@@ -83,7 +83,7 @@ def test_constraint_coefficients_limits(tables):
     assert np.all(t > 1e3)      # vanishing SINR floor leaves huge headroom
     # headroom is exactly zero when the clean CU SINR equals the floor
     clean = itf.cu_sinr_all(gains, zero, tables, smap,
-                            cfg.noise_per_subcarrier_w)
+                            cfg.noise_per_subcarrier_w, FBMC)
     floor_db = 10 * np.log10(clean[0])
     _, t0 = al.cu_constraint_coefficients(
         gains, tables, smap, zero.p_cu,

@@ -216,7 +216,7 @@ def test_draw_rx_fallback_is_bounded(rng):
     assert 0.0 <= np.linalg.norm(rx - tx) <= 2.0
     # from a transmitter outside the cell the fallback fails as well
     far = np.array([1000.0, 0.0])
-    with pytest.raises(d.ConfigurationError, match="200 draws"):
+    with pytest.raises(d.ConfigurationError, match="400 draws"):
         geo._draw_receivers(rng, far[None, :], 2.0, 250.0)
 
 

@@ -128,12 +128,13 @@ def test_no_d2d_means_interference_free_cu(tables):
     rng = np.random.default_rng(2)
     placement = d.sample_placement(cfg, rng)
     gains = d.gains_from_placement(placement, cfg, rng)
-    smap = d.random_cu_map(cfg, rng)
+    smap = d.random_cu_map(cfg, rng).with_assignment(
+        np.arange(cfg.num_d2d_pairs))
     powers = itf.PowerAllocation(
         p_d2d=np.zeros((cfg.num_d2d_pairs, 12)),
         p_cu=d.uniform_cu_powers(cfg))
     sinr = itf.cu_sinr_all(gains, powers, tables, smap,
-                           cfg.noise_per_subcarrier_w)
+                           cfg.noise_per_subcarrier_w, FBMC)
     expected = powers.p_cu * gains.h_cu_bs / (cfg.noise_per_subcarrier_w * 12)
     assert np.allclose(sinr, expected, rtol=1e-15)
 

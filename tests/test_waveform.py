@@ -50,7 +50,6 @@ def test_time_sim_matches_receiver_filtered_psd(interferer, victim, filt512,
     # (OFDM into the shorter filter-bank span is off by <= 0.2%)
     span = N + int(round(victim.cp_ratio * N))
     full = wf.table_from_time_sim(interferer, victim, filt512, half_span=3,
-                                  num_offsets=0, seed=0,
                                   timing_offsets=range(span))
     for l in range(4):
         assert full.coeff(l) == pytest.approx(oracle[l], rel=5e-3)
@@ -101,12 +100,9 @@ def test_time_sim_fold_matches_offset_loop(interferer, victim, fft_size,
     if offsets == "seeded":
         tau_span = wf._victim_bank(victim, filt, [0])[2]
         taus = np.random.default_rng(11).integers(0, tau_span, size=150)
-        table = wf.table_from_time_sim(interferer, victim, filt, 8, 150,
-                                       seed=11)
     else:
         taus = [0, 1, 7, fft_size // 3, fft_size - 1]
-        table = wf.table_from_time_sim(interferer, victim, filt, 8, 0, seed=0,
-                                       timing_offsets=taus)
+    table = wf.table_from_time_sim(interferer, victim, filt, 8, taus)
     ref = loop_time_sim(interferer, victim, filt, 8, taus)
     np.testing.assert_allclose(table.coeffs, ref, rtol=1e-12, atol=0)
 
@@ -193,7 +189,7 @@ def test_tables_conserve_power(method, tables, tables_psd):
 
 def test_time_sim_aligned_ofdm_delivers_full_power(filt512):
     t = wf.table_from_time_sim(wf.OFDM, wf.OFDM, filt512, half_span=4,
-                               num_offsets=1, seed=0, timing_offsets=[0])
+                               timing_offsets=[0])
     assert t.coeff(0) == pytest.approx(1.0, rel=0.02)
 
 
@@ -224,20 +220,27 @@ def test_time_sim_ofdm_ratio_matches_offset_average_oracle(filt512):
     oracle_ratio = mean_power(1) / mean_power(0)
     taus = list(range(0, n_int, 7))
     t = wf.table_from_time_sim(wf.OFDM, wf.OFDM, filt512, half_span=2,
-                               num_offsets=len(taus), seed=0,
                                timing_offsets=taus)
     assert t.coeff(1) / t.coeff(0) == pytest.approx(oracle_ratio, rel=0.02)
 
 
-def test_time_sim_determinism(filt):
-    a = wf.table_from_time_sim(wf.FBMC, wf.FBMC, filt, 6, 150, seed=9)
-    b = wf.table_from_time_sim(wf.FBMC, wf.FBMC, filt, 6, 150, seed=9)
-    assert np.array_equal(a.coeffs, b.coeffs)
+def test_build_all_tables_draws_offsets_per_pairing(filt):
+    """Pairing (i, j) averages over the offsets that seed ``7 * i + j``
+    draws over the victim's offset span, and nothing else."""
+    tables = wf.build_all_tables(filt, num_offsets=150)
+    kinds = list(wf.WaveformType)
+    assert list(tables) == [(a, b) for a in kinds for b in kinds]
+    for (a, b), table in tables.items():
+        seed = 7 * kinds.index(a) + kinds.index(b)
+        tau_span = wf._victim_bank(b, filt, [0])[2]
+        taus = np.random.default_rng(seed).integers(0, tau_span, size=150)
+        ref = wf.table_from_time_sim(a, b, filt, wf.DEFAULT_HALF_SPAN, taus)
+        assert np.array_equal(table.coeffs, ref.coeffs)
 
 
-def test_time_sim_rejects_small_sample(filt):
-    with pytest.raises(ValueError):
-        wf.table_from_time_sim(wf.FBMC, wf.FBMC, filt, 6, 99, seed=0)
+def test_build_all_tables_rejects_small_sample(filt):
+    with pytest.raises(ValueError, match="num_offsets"):
+        wf.build_all_tables(filt, num_offsets=99)
 
 
 def test_table_symmetry(tables, tables_psd):
