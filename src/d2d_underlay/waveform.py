@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import fft as sp_fft
 
 from .geometry import atomic_write
@@ -89,12 +90,15 @@ def build_phydyas_filter(overlap_factor, fft_size):
     The impulse response is the standard cosine superposition of the
     frequency-sampling coefficients, normalised to unit energy.
     """
-    if overlap_factor != 4:
+    if not isinstance(overlap_factor, (int, np.integer)) or overlap_factor != 4:
         raise UnsupportedParameterError(
-            "only overlap_factor=4 is supported, got %r" % (overlap_factor,))
-    if fft_size < 64 or fft_size & (fft_size - 1):
+            "only the integer overlap_factor=4 is supported, got %r"
+            % (overlap_factor,))
+    if (not isinstance(fft_size, (int, np.integer)) or fft_size < 64
+            or fft_size & (fft_size - 1)):
         raise UnsupportedParameterError(
-            "fft_size must be a power of two >= 64, got %r" % (fft_size,))
+            "fft_size must be an integer power of two >= 64, got %r"
+            % (fft_size,))
     K = overlap_factor
     P = PHYDYAS_K4_COEFFS
     n = np.arange(K * fft_size)
@@ -194,46 +198,45 @@ def _interferer_pulse(kind, filt):
     return h.astype(complex), period, var
 
 
-def _victim_bank(kind, filt, offsets):
-    """Analysis windows at the requested spectral offsets plus the victim's
-    output period, timing-offset span, real-part factor and useful power."""
+def _victim_window(kind, filt):
+    """The victim's analysis window at spectral offset 0 plus its output
+    period, timing-offset span, real-part factor and useful power.  The
+    window at offset l is this one modulated by ``exp(2j*pi*l*u/N)`` at
+    sample u."""
     N = filt.fft_size
-    ls = np.asarray(offsets)
     if kind is OFDM:
         n_cp = int(round(kind.cp_ratio * N))
-        n = np.arange(N)
-        win = np.exp(2j * np.pi * ls[:, None] * n[None, :] / N)
-        useful = float(N) ** 2
-        return win, N + n_cp, N + n_cp, 1.0, useful
+        return np.ones(N), N + n_cp, N + n_cp, 1.0, float(N) ** 2
     h = filt.impulse_response
-    n = np.arange(h.size)
-    win = h[None, :] * np.exp(2j * np.pi * ls[:, None] * n[None, :] / N)
     e_h = float(np.sum(h * h))
     # coherent OQAM gain e_h at symbol variance (N/2)/e_h
-    useful = (N / 2.0) * e_h ** 2
-    return win, N // 2, N, 0.5, useful
+    return h, N // 2, N, 0.5, (N / 2.0) * e_h ** 2
 
 
-def _xcorr_energy(pulse, windows):
-    """|cross-correlation|^2 of the pulse against each analysis window.
+def _xcorr_energy(pulse, window, offsets, fft_size):
+    """|cross-correlation|^2 of the pulse against the window modulated to
+    each spectral offset.
 
     Entry ``[i, k]`` is ``|sum_u pulse[u] conj(win_i[u + lag])|^2`` with
-    ``lag = len(win) - 1 - k``.
+    ``lag = len(window) - 1 - k`` and ``win_i[u] = window[u] *
+    exp(2j*pi*offsets[i]*u/fft_size)``.
     """
-    full = pulse.size + windows.shape[1] - 1
-    n = sp_fft.next_fast_len(full, False)
-    # linear convolution of the pulse with the reversed conjugate windows;
-    # the FFT length and product order are scipy's fftconvolve's, which
-    # keeps the tables' last bits
-    spec = sp_fft.fft(np.conj(windows)[:, ::-1], n)
-    np.multiply(sp_fft.fft(pulse[None, :], n), spec, out=spec)
-    c = sp_fft.ifft(spec, n, overwrite_x=True)
+    full = pulse.size + window.size - 1
+    # n is a multiple of fft_size, so the reversed conjugate window at
+    # offset l has the offset-0 spectrum rolled by l * n // fft_size bins,
+    # times a unit phase that the squared magnitude drops
+    n = fft_size * sp_fft.next_fast_len(math.ceil(full / fft_size))
+    spec = sp_fft.fft(np.conj(window[::-1]), n)
+    shifts = np.asarray(offsets) * (n // fft_size)
+    # row i is the spectrum rolled by shifts[i]: a slice of it doubled
+    rows = sliding_window_view(np.concatenate((spec, spec)), n)[-shifts % n]
+    rows *= sp_fft.fft(pulse, n)
+    c = sp_fft.ifft(rows, overwrite_x=True)
     e = np.abs(c[:, :full])
     return np.square(e, out=e)
 
 
-def table_from_time_sim(interferer, victim, filt, half_span, timing_offsets,
-                        bank=None):
+def table_from_time_sim(interferer, victim, filt, half_span, timing_offsets):
     """Offset-averaged leakage table from a time-domain receiver model.
 
     One interferer subcarrier transmits an endless stream of unit-power random
@@ -241,9 +244,9 @@ def table_from_time_sim(interferer, victim, filt, half_span, timing_offsets,
     ``l in [-half_span, half_span]`` and averaged over exactly the given
     ``timing_offsets`` (integer samples).  The expectation over the random
     symbols and over the interferer's carrier phase is taken in closed form,
-    and the sum over interferer symbols is a fold by their period.  ``bank``
-    is the victim's ``_victim_bank`` at offsets ``0..half_span`` when the
-    caller has built it already.
+    and the sum over interferer symbols is a fold by their period.  The
+    victim's window is transformed once; each offset's spectrum is that one
+    rolled by whole bins.
 
     Averaged over timing offsets, I(l) is the interferer's PSD weighted by
     the victim's window response, times the real-part factor, over the
@@ -256,20 +259,18 @@ def table_from_time_sim(interferer, victim, filt, half_span, timing_offsets,
     if half_span < 1:
         raise ValueError("half_span must be >= 1")
     pulse, t_int, var_int = _interferer_pulse(interferer, filt)
+    win, t_vic, _, re_factor, useful = _victim_window(victim, filt)
     ls = np.arange(0, half_span + 1)
-    if bank is None:
-        bank = _victim_bank(victim, filt, ls)
-    win, t_vic, _, re_factor, useful = bank
     taus = np.asarray(timing_offsets, dtype=int)
 
     # Interferer symbol s meets victim output v at cross-correlation index
     # len(window) - 1 + tau + v*t_vic - s*t_int, so the sum over all s reads
     # every t_int-th entry: one residue of the energy folded by t_int.
-    e = _xcorr_energy(pulse, win)
+    e = _xcorr_energy(pulse, win, ls, filt.fft_size)
     e = np.pad(e, ((0, 0), (0, -e.shape[1] % t_int)))
     folded = e.reshape(ls.size, -1, t_int).sum(axis=1)
     v = np.arange(NUM_VICTIM_SYMBOLS)
-    k = win.shape[1] - 1 + taus[:, None] + v[None, :] * t_vic
+    k = win.size - 1 + taus[:, None] + v[None, :] * t_vic
     hits = np.bincount((k % t_int).ravel(), minlength=t_int)
     acc = folded @ hits
     acc *= re_factor * var_int / (useful * NUM_VICTIM_SYMBOLS * taus.size)
@@ -303,26 +304,20 @@ def build_all_tables(filt, method=TIME_SIM, num_offsets=400):
     keyed by WaveformType pairs in interferer-major order.  A time-sim
     build averages pairing (i, j) over ``num_offsets`` (at least 100)
     timing offsets drawn uniformly over the victim's offset span from seed
-    ``7 * i + j``, makes each victim's analysis bank once, for both
-    interferers, and holds one bank at a time."""
+    ``7 * i + j``."""
     if num_offsets < 100:
         raise ValueError("num_offsets must be >= 100")
-    pairings = [(a, b) for a in WaveformType for b in WaveformType]
+    kinds = list(WaveformType)
     if method == PSD:
         return {(a, b): table_from_psd(a, b, filt, DEFAULT_HALF_SPAN)
-                for a, b in pairings}
-    tables = dict.fromkeys(pairings)
-    for j, b in enumerate(WaveformType):
-        bank = _victim_bank(b, filt, np.arange(DEFAULT_HALF_SPAN + 1))
-        tau_span = bank[2]
-        for i, a in enumerate(WaveformType):
+                for a in kinds for b in kinds}
+    tables = {}
+    for i, a in enumerate(kinds):
+        for j, b in enumerate(kinds):
             taus = np.random.default_rng(7 * i + j).integers(
-                0, tau_span, size=num_offsets)
+                0, _victim_window(b, filt)[2], size=num_offsets)
             tables[(a, b)] = table_from_time_sim(a, b, filt, DEFAULT_HALF_SPAN,
-                                                 taus, bank=bank)
-        # freed before the next bank is built, which keeps set-up's peak
-        # memory at one bank
-        del bank
+                                                 taus)
     return tables
 
 

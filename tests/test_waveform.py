@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import fft as sp_fft
 
 import d2d_underlay as d
 from d2d_underlay import waveform as wf
@@ -70,14 +71,14 @@ def loop_time_sim(interferer, victim, filt, half_span, taus):
     and interferer symbols s; the reference for the folded average."""
     pulse, t_int, var_int = wf._interferer_pulse(interferer, filt)
     ls = np.arange(0, half_span + 1)
-    win, t_vic, tau_span, re_factor, useful = wf._victim_bank(victim, filt, ls)
-    n_win = win.shape[1]
+    win, t_vic, tau_span, re_factor, useful = wf._victim_window(victim, filt)
+    n_win = win.size
     V = wf.NUM_VICTIM_SYMBOLS
     v = np.arange(V)
     s_lo = int(np.floor(-(pulse.size - 1 + tau_span) / t_int)) - 1
     s_hi = int(np.ceil((n_win - 1 + tau_span + V * t_vic) / t_int)) + 1
     s = np.arange(s_lo, s_hi + 1)
-    e = wf._xcorr_energy(pulse, win)
+    e = wf._xcorr_energy(pulse, win, ls, filt.fft_size)
     acc = np.zeros(half_span + 1)
     for tau in taus:
         lags = s[None, :] * t_int - int(tau) - v[:, None] * t_vic
@@ -98,13 +99,20 @@ def test_time_sim_fold_matches_offset_loop(interferer, victim, fft_size,
                                            offsets):
     filt = d.build_phydyas_filter(4, fft_size)
     if offsets == "seeded":
-        tau_span = wf._victim_bank(victim, filt, [0])[2]
+        tau_span = wf._victim_window(victim, filt)[2]
         taus = np.random.default_rng(11).integers(0, tau_span, size=150)
     else:
         taus = [0, 1, 7, fft_size // 3, fft_size - 1]
     table = wf.table_from_time_sim(interferer, victim, filt, 8, taus)
     ref = loop_time_sim(interferer, victim, filt, 8, taus)
     np.testing.assert_allclose(table.coeffs, ref, rtol=1e-12, atol=0)
+
+
+def modulated_windows(window, offsets, fft_size):
+    """The window at each spectral offset l: ``w0 * exp(2j*pi*l*u/N)``."""
+    u = np.arange(window.size)
+    return window[None, :] * np.exp(
+        2j * np.pi * np.asarray(offsets)[:, None] * u[None, :] / fft_size)
 
 
 def direct_xcorr_energy(pulse, windows):
@@ -126,12 +134,39 @@ def direct_xcorr_energy(pulse, windows):
 def test_xcorr_energy_matches_direct_sum(interferer, victim, fft_size):
     filt = d.build_phydyas_filter(4, fft_size)
     pulse = wf._interferer_pulse(interferer, filt)[0]
-    win = wf._victim_bank(victim, filt, [-2, 0, 1, 5])[0]
-    e = wf._xcorr_energy(pulse, win)
-    ref = direct_xcorr_energy(pulse, win)
+    window = wf._victim_window(victim, filt)[0]
+    offsets = [-2, 0, 1, 5]
+    e = wf._xcorr_energy(pulse, window, offsets, fft_size)
+    ref = direct_xcorr_energy(pulse,
+                              modulated_windows(window, offsets, fft_size))
     assert e.shape == ref.shape
     scale = ref.max(axis=1, keepdims=True)
     assert np.all(np.abs(e - ref) <= 1e-12 * scale)
+
+
+def fft_xcorr_energy(pulse, windows):
+    """``direct_xcorr_energy`` as one FFT correlation per window, each
+    window modulated and transformed on its own."""
+    full = pulse.size + windows.shape[1] - 1
+    n = sp_fft.next_fast_len(full, False)
+    spec = sp_fft.fft(np.conj(windows)[:, ::-1], n) * sp_fft.fft(pulse, n)
+    return np.abs(sp_fft.ifft(spec)[:, :full]) ** 2
+
+
+@pytest.mark.parametrize("interferer,victim", PAIRINGS,
+                         ids=["%s->%s" % (a.name, b.name) for a, b in PAIRINGS])
+def test_rolled_spectrum_matches_modulated_windows(interferer, victim,
+                                                   filt512):
+    """At production size, each offset's row of the one rolled window
+    spectrum matches that offset's window modulated and correlated alone."""
+    N = filt512.fft_size
+    pulse = wf._interferer_pulse(interferer, filt512)[0]
+    window = wf._victim_window(victim, filt512)[0]
+    offsets = np.arange(wf.DEFAULT_HALF_SPAN + 1)
+    e = wf._xcorr_energy(pulse, window, offsets, N)
+    ref = fft_xcorr_energy(pulse, modulated_windows(window, offsets, N))
+    assert e.shape == ref.shape
+    assert np.all(np.abs(e - ref) <= 1e-12 * ref[0].max())
 
 
 def test_phydyas_coefficients():
@@ -157,6 +192,10 @@ def test_phydyas_rejects_unsupported_parameters():
         d.build_phydyas_filter(4, 100)
     with pytest.raises(d.UnsupportedParameterError):
         d.build_phydyas_filter(4, 32)
+    with pytest.raises(d.UnsupportedParameterError, match="got 4.0"):
+        d.build_phydyas_filter(4.0, 512)
+    with pytest.raises(d.UnsupportedParameterError, match="got 512.0"):
+        d.build_phydyas_filter(4, 512.0)
 
 
 def test_waveform_kind_invariants():
@@ -232,7 +271,7 @@ def test_build_all_tables_draws_offsets_per_pairing(filt):
     assert list(tables) == [(a, b) for a in kinds for b in kinds]
     for (a, b), table in tables.items():
         seed = 7 * kinds.index(a) + kinds.index(b)
-        tau_span = wf._victim_bank(b, filt, [0])[2]
+        tau_span = wf._victim_window(b, filt)[2]
         taus = np.random.default_rng(seed).integers(0, tau_span, size=150)
         ref = wf.table_from_time_sim(a, b, filt, wf.DEFAULT_HALF_SPAN, taus)
         assert np.array_equal(table.coeffs, ref.coeffs)
