@@ -173,19 +173,19 @@ def _projected_newton(z, a, g):
     H + lam (curv_i + max diag H) on the diagonal.  curv_i is H's diagonal,
     or, on a row with no subcarrier inside (0, 1), the curvature at w clipped
     to [g/(1+g), g], where the subcarriers would enter.  The step is
-    backtracked (Armijo) along the projection arc; lam starts at 1e-3, is
-    divided by 4 after a full step and multiplied by 16 after a shortened
-    one, and by 256 when MAX_BACKTRACKS halvings fail, before a retry.
-    Stops at a KKT residual of 0.1 KKT_TOLERANCE.  The KKT residual is the
-    larger of the water-filled primal's overload max(A x) - 1, before it is
-    rescaled into feasibility, and the complementary slackness
-    max |z (1 - A x)| after.  Returns the duals, the rescaled primal, the
-    KKT residual and the steps taken.
+    backtracked (Armijo) along the projection arc; lam starts at 1e-8, is
+    divided by 4 after a full step and multiplied by 16 otherwise: after a
+    shortened step, or after MAX_BACKTRACKS failed halvings, which leave z
+    where it was.  Stops at a KKT residual of 0.1 KKT_TOLERANCE.  The KKT
+    residual is the larger of the water-filled primal's overload
+    max(A x) - 1, before it is rescaled into feasibility, and the
+    complementary slackness max |z (1 - A x)| after.  Returns the duals,
+    the rescaled primal, the KKT residual and the steps taken.
     """
     inv_g = 1.0 / g
     entry = g / (1.0 + g)
     w, x = _water_fill(z, a, inv_g)
-    lam = 1e-3
+    lam = 1e-8
     for step in range(MAX_NEWTON_STEPS + 1):
         load = a @ x
         over = max(load.max(initial=0.0), 1.0)
@@ -217,12 +217,9 @@ def _projected_newton(z, a, g):
             dx = trial_x - x
             curvature = (np.log1p(g * dx / (1.0 + g * x)) - trial_w * dx).sum()
             if curvature <= (1e-4 - 1.0) * (grad @ (trial - z)):
+                z, w, x = trial, trial_w, trial_x
                 break
-        else:
-            lam *= 256.0
-            continue
         lam = lam / 4.0 if alpha == 1.0 else lam * 16.0
-        z, w, x = trial, trial_w, trial_x
     return z, x / over, float(kkt), step
 
 
