@@ -57,7 +57,9 @@ def random_cu_map(config, rng):
 
 @dataclass
 class PowerAllocation:
-    """Transmit powers: per-subcarrier for D2D pairs, per-RB total for CUs."""
+    """Transmit powers: per-subcarrier for D2D pairs, per-RB total for CUs.
+
+    A block of snapshots stacks ``p_d2d`` on a leading axis."""
 
     p_d2d: np.ndarray     # (pairs, subcarriers per RB), W
     p_cu: np.ndarray      # (CUs,), W per RB
@@ -66,7 +68,7 @@ class PowerAllocation:
         if np.any(self.p_d2d < 0):
             raise ValueError("negative D2D subcarrier power")
         if max_tx_power_w is not None:
-            tot = self.p_d2d.sum(axis=1)
+            tot = self.p_d2d.sum(axis=-1)
             if np.any(tot > max_tx_power_w * (1 + 1e-9)):
                 raise ValueError("per-pair power exceeds the cap")
         return self
@@ -116,13 +118,24 @@ def i_d2d_matrix(gains, powers, table, smap):
     """Inter-D2D interference at every (pair, subcarrier) in W; the table is
     the D2D waveform against itself."""
     kern = table.band_kernels(smap.num_rbs, smap.subcarriers_per_rb)
+    num_offsets, s = kern.sub.shape[:2]
+    # a pair does not jam itself
+    h = np.where(np.eye(gains.h_d2d_d2d.shape[-1], dtype=bool), 0.0,
+                 gains.h_d2d_d2d)
+    # q[..., j, d, n]: interferer d's power on subcarrier n, at victim j
+    q = h[..., None] * powers.p_d2d[..., None, :, :]
     d = _offset_index(smap, smap.rb_of_d2d[..., :, None],
                       smap.rb_of_d2d[..., None, :])
-    # (..., j, d, n, m): interferer subcarrier n -> victim subcarrier m
-    w = kern.sub[d]
-    # a pair does not jam itself
-    h = np.where(np.eye(d.shape[-1], dtype=bool), 0.0, gains.h_d2d_d2d)
-    return np.einsum("...jd,...dn,...jdnm->...jm", h, powers.p_d2d, w)
+    # sum q by RB offset into grouped[..., j, offset, n], then contract with
+    # the offset kernels: interferer subcarrier n -> victim subcarrier m.
+    # The product is stacked per snapshot, so every snapshot's matmul has
+    # the same shape in a block as alone.
+    victims = np.arange(q[..., 0, 0].size).reshape(q.shape[:-2])
+    bins = (victims[..., None] * num_offsets + d)[..., None] * s + np.arange(s)
+    grouped = np.bincount(bins.ravel(), q.ravel(),
+                          minlength=victims.size * num_offsets * s)
+    return (grouped.reshape(*victims.shape, num_offsets * s)
+            @ kern.sub.reshape(num_offsets * s, s))
 
 
 def d2d_sinr_matrices(gains, powers, tables, smap, noise_sc, d2d_kind):

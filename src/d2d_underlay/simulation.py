@@ -50,6 +50,11 @@ class SweepParameter(Enum):
     CLUSTER_DISTANCE = "CLUSTER_DISTANCE"
 
 
+# the (case, variant) series of every report statistic, CDF, sweep and
+# gnuplot column
+_COLUMNS = [(c, v) for c in Case for v in ("actual", "predicted")]
+
+
 @dataclass
 class IterationResult:
     case: Case
@@ -189,8 +194,7 @@ def run_campaign(config, tables, jobs=0):
 
 
 def build_report(results, iterations):
-    actual = {c: [] for c in Case}
-    predicted = {c: [] for c in Case}
+    series = {key: [] for key in _COLUMNS}
     skipped_iters = set()
     solver_status = {status: 0 for status in al.SolverStatus}
     for it, r in results:
@@ -198,32 +202,34 @@ def build_report(results, iterations):
         if not r.feasible:
             skipped_iters.add(it)
             continue
-        actual[r.case].append(r.rate_actual)
-        predicted[r.case].append(r.rate_predicted)
-    if all(len(v) == 0 for v in actual.values()):
+        series[(r.case, "actual")].append(r.rate_actual)
+        series[(r.case, "predicted")].append(r.rate_predicted)
+    # a snapshot is skipped in both cases or in neither, so the series have
+    # equal lengths and stack into one sorted (series, samples) array
+    samples = np.sort(np.array(list(series.values())), axis=1)
+    n = samples.shape[1]
+    if n == 0:
         raise EmptyReportError("all %d iterations were infeasible" % iterations)
-    actual = {c: np.sort(np.asarray(v)) for c, v in actual.items()}
-    predicted = {c: np.sort(np.asarray(v)) for c, v in predicted.items()}
 
-    lo = min(v.min() for v in list(actual.values()) + list(predicted.values()))
-    hi = max(v.max() for v in list(actual.values()) + list(predicted.values()))
+    lo, hi = samples.min(), samples.max()
     if hi <= lo:
         hi = lo + 1.0
     grid = np.linspace(lo, hi, CDF_GRID_POINTS)
+    stats = {"mean": samples.mean(axis=1),
+             "median": np.median(samples, axis=1)}
+    stats["p5"], stats["p95"] = np.percentile(samples, (5, 95), axis=1)
     cdf = {}
     summary = {}
-    for c in Case:
-        for name, samples in (("actual", actual[c]), ("predicted", predicted[c])):
-            cdf[(c, name)] = np.searchsorted(samples, grid,
-                                             side="right") / max(len(samples), 1)
-            summary[(c, name, "mean")] = float(samples.mean())
-            summary[(c, name, "median")] = float(np.median(samples))
-            summary[(c, name, "p5")] = float(np.percentile(samples, 5))
-            summary[(c, name, "p95")] = float(np.percentile(samples, 95))
+    for row, key in enumerate(_COLUMNS):
+        cdf[key] = np.searchsorted(samples[row], grid, side="right") / n
+        for stat, values in stats.items():
+            summary[key + (stat,)] = float(values[row])
+    rows = dict(zip(_COLUMNS, samples))
     return RateReport(iterations=iterations, skipped=len(skipped_iters),
-                      actual=actual, predicted=predicted, cdf_grid=grid,
-                      cdf=cdf, summary=summary, solver_status=solver_status,
-                      results=results)
+                      actual={c: rows[(c, "actual")] for c in Case},
+                      predicted={c: rows[(c, "predicted")] for c in Case},
+                      cdf_grid=grid, cdf=cdf, summary=summary,
+                      solver_status=solver_status, results=results)
 
 
 def sweep_configs(config, parameter, values):
@@ -260,10 +266,6 @@ def sweep(config, parameter, values, tables, jobs=0):
 # ---------------------------------------------------------------------------
 # output files (decimal text, 9 significant digits, atomic writes)
 # ---------------------------------------------------------------------------
-
-# the (case, variant) series of every CDF, sweep and gnuplot column
-_COLUMNS = [(c, v) for c in Case for v in ("actual", "predicted")]
-
 
 def write_samples_csv(report, path):
     rows = ["iteration,case,rate_predicted,rate_actual,feasible,"

@@ -236,7 +236,7 @@ def test_criterion_6_trend_suite(tables, report_line):
     checks = []
 
     values = [5, 7, 9, 11, 13]
-    pts = d.sweep(cfg, sim.SweepParameter.NUM_PAIRS, values, tables)
+    pts = d.sweep(cfg, sim.SweepParameter.NUM_PAIRS, values, tables, jobs=2)
     ofdm, fbmc = means(pts, sim.Case.D2D_OFDM), means(pts, sim.Case.D2D_FBMC)
     checks.append(("rate down in num_pairs (plain)",) + trend(ofdm, values, -1))
     checks.append(("rate down in num_pairs (filter-bank)",)
@@ -245,14 +245,16 @@ def test_criterion_6_trend_suite(tables, report_line):
                   + trend(fbmc - ofdm, values, +1))
 
     values = [0.0, 35.0, 70.0, 105.0, 140.0]
-    pts = d.sweep(cfg, sim.SweepParameter.CLUSTER_DISTANCE, values, tables)
+    pts = d.sweep(cfg, sim.SweepParameter.CLUSTER_DISTANCE, values, tables,
+                  jobs=2)
     for case, name in ((sim.Case.D2D_OFDM, "plain"),
                        (sim.Case.D2D_FBMC, "filter-bank")):
         checks.append(("rate up in cluster distance (%s)" % name,)
                       + trend(means(pts, case), values, +1))
 
     values = [40.0, 55.0, 70.0, 85.0, 100.0]
-    pts = d.sweep(cfg, sim.SweepParameter.CLUSTER_RADIUS, values, tables)
+    pts = d.sweep(cfg, sim.SweepParameter.CLUSTER_RADIUS, values, tables,
+                  jobs=2)
     advantage = (means(pts, sim.Case.D2D_FBMC)
                  - means(pts, sim.Case.D2D_OFDM))
     checks.append(("filter-bank advantage down in cluster radius",)

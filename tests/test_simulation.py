@@ -54,6 +54,52 @@ def test_campaign_basics(tables):
             <= s[(c, "actual", "p95")]
 
 
+def test_report_statistics_match_numpy_per_series(tables):
+    """Each summary statistic and CDF equals numpy's, bit for bit, on its
+    own sorted (case, variant) series, on a campaign that skips most
+    snapshots (a 47 dB CU floor skips 53 of these 60)."""
+    cfg = d.with_updates(d.ScenarioConfig(), cu_min_sinr=47.0, iterations=60,
+                         seed=0)
+    rep = d.run_campaign(cfg, tables)
+    assert rep.skipped == 53
+    for c in sim.Case:
+        for variant, field in (("actual", "rate_actual"),
+                               ("predicted", "rate_predicted")):
+            series = np.sort([getattr(r, field) for _, r in rep.results
+                              if r.case is c and r.feasible])
+            assert len(series) == 60 - 53
+            assert np.array_equal(getattr(rep, variant)[c], series)
+            stat = {name: rep.summary[(c, variant, name)]
+                    for name in ("mean", "median", "p5", "p95")}
+            assert stat == {"mean": float(np.mean(series)),
+                            "median": float(np.median(series)),
+                            "p5": float(np.percentile(series, 5)),
+                            "p95": float(np.percentile(series, 95))}
+            assert np.array_equal(
+                rep.cdf[(c, variant)],
+                np.searchsorted(series, rep.cdf_grid, side="right")
+                / len(series))
+
+
+@pytest.mark.parametrize("layout", list(d.Layout))
+def test_equal_tables_make_the_cases_identical(tables, layout):
+    """With one table in all four slots, the two waveform cases see the same
+    numbers, so every result of a campaign matches across the cases bit for
+    bit: rates, feasibility, solver status, Newton steps and KKT
+    residual."""
+    one = tables[(d.WaveformType.OFDM, d.WaveformType.OFDM)]
+    same = {key: one for key in tables}
+    cfg = d.with_updates(d.ScenarioConfig(), iterations=40, layout=layout)
+    rep = d.run_campaign(cfg, same)
+    fields = ("rate_predicted", "rate_actual", "feasible", "status",
+              "newton_steps", "kkt_residual")
+    by_case = {c: [tuple(getattr(r, f) for f in fields)
+                   for _, r in rep.results if r.case is c] for c in sim.Case}
+    assert len(by_case[sim.Case.D2D_OFDM]) == cfg.iterations
+    assert by_case[sim.Case.D2D_OFDM] == by_case[sim.Case.D2D_FBMC]
+    assert any(feasible for _, _, feasible, *_ in by_case[sim.Case.D2D_OFDM])
+
+
 def test_campaign_determinism(tables):
     cfg = d.with_updates(d.ScenarioConfig(), iterations=4)
     a = d.run_campaign(cfg, tables)
