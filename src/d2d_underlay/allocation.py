@@ -143,15 +143,11 @@ def power_loading(assignment, gains, tables, smap, config, d2d_kind):
             dual_cap=np.zeros(num_pairs), kkt_residual=np.inf,
             iterations_used=0, status=SolverStatus.INFEASIBLE_SKIPPED)
 
-    # normalized constraint matrix, CU rows over one cap row per pair; a
-    # zero threshold leaves no headroom at all
+    # normalized constraint matrix; a zero threshold leaves no headroom at all
     t_safe = np.maximum(thresholds, 1e-300)
     num_cu = len(thresholds)
-    a = np.zeros((num_cu + num_pairs, num_pairs * s))
-    np.multiply(c.reshape(num_cu, -1), p_max, out=a[:num_cu])
-    a[:num_cu] /= t_safe[:, None]
-    pairs = np.arange(num_pairs)
-    a[num_cu:].reshape(num_pairs, num_pairs, s)[pairs, pairs] = 1.0
+    chat = c.reshape(num_cu, -1) * p_max / t_safe[:, None]
+    a = np.vstack([chat, np.repeat(np.eye(num_pairs), s, axis=1)])
     i_cu = itf.i_cu_matrix(gains, zero, tables[(WaveformType.OFDM, d2d_kind)],
                            smap)
     g = p_max * gains.h_self[:, None] / (config.noise_per_subcarrier_w + i_cu)
@@ -187,17 +183,16 @@ def _projected_newton(z, a, g):
     the rescaled primal, the KKT residual and the steps taken.
     """
     inv_g = 1.0 / g
+    entry = g / (1.0 + g)
     w, x = _water_fill(z, a, inv_g)
     lam = 1e-8
     for step in range(MAX_NEWTON_STEPS + 1):
         load = a @ x
-        grad = 1.0 - load
         over = max(load.max(initial=0.0), 1.0)
-        # the slack at x / over; x / 1.0 == x, so no overload leaves grad
-        slack = grad if over == 1.0 else 1.0 - load / over
-        kkt = max(over - 1.0, np.abs(z * slack).max(initial=0.0))
+        kkt = max(over - 1.0, np.abs(z * (1.0 - load / over)).max(initial=0.0))
         if kkt < 0.1 * KKT_TOLERANCE or step == MAX_NEWTON_STEPS:
             break
+        grad = 1.0 - load
         pg = z - np.maximum(z - grad, 0.0)
         eps = min(1e-6, math.sqrt(pg @ pg))
         free = (z > eps) | (grad <= 0)
@@ -205,24 +200,22 @@ def _projected_newton(z, a, g):
         a_free = a if free.all() else a[free]
         af = a_free[:, inside]
         h = (af / w[inside] ** 2) @ af.T
-        diag = h.diagonal()
-        curv = diag
+        diag = h.diagonal().copy()
+        curv = diag.copy()
         flat = diag <= 0
         if flat.any():
-            curv = diag.copy()
-            edge = np.minimum(np.maximum(w, g / (1.0 + g)), g)
+            edge = np.minimum(np.maximum(w, entry), g)
             curv[flat] = (a_free[flat] ** 2 / edge ** 2).sum(axis=1)
         np.fill_diagonal(h, diag + lam * (curv + diag.max(initial=0.0)))
         d = -grad
         d[free] = _solve(h, d[free])
-        gain = 1.0 + g * x
         for alpha in _STEP_LENGTHS:
             trial = np.maximum(z + alpha * d, 0.0)
             trial_w, trial_x = _water_fill(trial, a, inv_g)
             # D(trial) - D(z) = grad (trial - z) + curvature, with the
             # curvature summed per subcarrier: exact where D's rounding is not
             dx = trial_x - x
-            curvature = (np.log1p(g * dx / gain) - trial_w * dx).sum()
+            curvature = (np.log1p(g * dx / (1.0 + g * x)) - trial_w * dx).sum()
             if curvature <= (1e-4 - 1.0) * (grad @ (trial - z)):
                 z, w, x = trial, trial_w, trial_x
                 break

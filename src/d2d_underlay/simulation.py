@@ -194,6 +194,12 @@ def run_campaign(config, tables, jobs=0):
 
 
 def build_report(results, iterations):
+    """Report of ``(iteration, IterationResult)`` pairs.
+
+    A snapshot must be skipped in both cases or in neither, as
+    ``run_iteration`` does, so that every (case, variant) series has the
+    same length; a list that breaks this raises ``ValueError``.
+    """
     series = {key: [] for key in _COLUMNS}
     skipped_iters = set()
     solver_status = {status: 0 for status in al.SolverStatus}
@@ -204,8 +210,10 @@ def build_report(results, iterations):
             continue
         series[(r.case, "actual")].append(r.rate_actual)
         series[(r.case, "predicted")].append(r.rate_predicted)
-    # a snapshot is skipped in both cases or in neither, so the series have
-    # equal lengths and stack into one sorted (series, samples) array
+    if len({len(v) for v in series.values()}) > 1:
+        raise ValueError("a snapshot must be skipped in both cases or in "
+                         "neither")
+    # equal lengths stack into one sorted (series, samples) array
     samples = np.sort(np.array(list(series.values())), axis=1)
     n = samples.shape[1]
     if n == 0:

@@ -227,61 +227,6 @@ def test_power_allocation_validation():
             max_tx_power_w=0.25)
 
 
-def random_block(cfg, seeds):
-    """Gains, random D2D powers and a map with random injective
-    assignments, stacked over one snapshot per seed."""
-    rngs = [np.random.default_rng(seed) for seed in seeds]
-    placements = [d.sample_placement(cfg, rng) for rng in rngs]
-    block = d.NodePlacement(*(np.stack([getattr(p, name) for p in placements])
-                              for name in ("cu_pos", "d2d_tx_pos",
-                                           "d2d_rx_pos")))
-    gains = d.gains_from_placement(block, cfg, rngs)
-    smap = itf.SpectrumMap(
-        rb_of_cu=np.stack([rng.permutation(cfg.num_rbs) for rng in rngs]),
-        num_rbs=cfg.num_rbs, subcarriers_per_rb=cfg.subcarriers_per_rb,
-        rb_of_d2d=np.stack([rng.permutation(cfg.num_rbs)[:cfg.num_d2d_pairs]
-                            for rng in rngs]))
-    powers = itf.PowerAllocation(
-        p_d2d=np.stack([rng.uniform(
-            0, cfg.max_tx_power_w / cfg.subcarriers_per_rb,
-            size=(cfg.num_d2d_pairs, cfg.subcarriers_per_rb))
-            for rng in rngs]),
-        p_cu=d.uniform_cu_powers(cfg))
-    return gains, powers, smap
-
-
-@pytest.mark.parametrize("num_pairs", [1, 5, 13])
-@pytest.mark.parametrize("size", [1, 4, 16])
-def test_d2d_interference_of_a_block_matches_each_snapshot_alone(
-        tables, num_pairs, size):
-    """Each snapshot of a block gets, bit for bit, the inter-D2D
-    interference and SINR it gets alone, so no snapshot's result depends
-    on its block-mates; one pair alone sees no inter-D2D interference."""
-    cfg = d.with_updates(d.ScenarioConfig(), num_d2d_pairs=num_pairs)
-    gains, powers, smap = random_block(cfg, range(100 * size, 101 * size))
-    noise = cfg.noise_per_subcarrier_w
-    for kind in (OFDM, FBMC):
-        i_dd = itf.i_d2d_matrix(gains, powers, tables[(kind, kind)], smap)
-        actual, predicted = itf.d2d_sinr_matrices(gains, powers, tables, smap,
-                                                  noise, kind)
-        assert i_dd.shape == (size, num_pairs, cfg.subcarriers_per_rb)
-        assert i_dd.any() == (num_pairs > 1)
-        for k in range(size):
-            alone = itf.SpectrumMap(
-                rb_of_cu=smap.rb_of_cu[k], num_rbs=cfg.num_rbs,
-                subcarriers_per_rb=cfg.subcarriers_per_rb,
-                rb_of_d2d=smap.rb_of_d2d[k]).validate()
-            powers_k = itf.PowerAllocation(p_d2d=powers.p_d2d[k],
-                                           p_cu=powers.p_cu)
-            assert np.array_equal(
-                itf.i_d2d_matrix(gains[k], powers_k, tables[(kind, kind)],
-                                 alone), i_dd[k])
-            actual_k, predicted_k = itf.d2d_sinr_matrices(
-                gains[k], powers_k, tables, alone, noise, kind)
-            assert np.array_equal(actual_k, actual[k])
-            assert np.array_equal(predicted_k, predicted[k])
-
-
 def test_truncation_beyond_half_span(tables):
     """Links separated by more than the table span contribute nothing."""
     t = tables[(FBMC, OFDM)]

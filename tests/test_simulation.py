@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 
 import numpy as np
@@ -100,6 +101,16 @@ def test_equal_tables_make_the_cases_identical(tables, layout):
     assert any(feasible for _, _, feasible, *_ in by_case[sim.Case.D2D_OFDM])
 
 
+def test_report_rejects_a_snapshot_skipped_in_one_case_only(tables):
+    cfg = d.with_updates(d.ScenarioConfig(), iterations=2)
+    rep = d.run_campaign(cfg, tables)
+    [(it, first), *rest] = rep.results
+    assert first.feasible
+    one_case_only = [(it, dataclasses.replace(first, feasible=False))] + rest
+    with pytest.raises(ValueError, match="both cases or in neither"):
+        sim.build_report(one_case_only, cfg.iterations)
+
+
 def test_campaign_determinism(tables):
     cfg = d.with_updates(d.ScenarioConfig(), iterations=4)
     a = d.run_campaign(cfg, tables)
@@ -134,19 +145,27 @@ def test_blocks_independent_of_jobs_and_block_mates(tmp_path, tables):
     """17 snapshots make one full block and one snapshot alone.  The report
     is the same at jobs=0 and jobs=2, and every snapshot's results equal
     those of ``run_iteration`` on its own stream alone, so no snapshot's
-    arithmetic depends on its block-mates."""
-    cfg = d.with_updates(d.ScenarioConfig(), iterations=sim.BLOCK_SIZE + 1)
-    seq = d.run_campaign(cfg, tables)
-    pooled = d.run_campaign(cfg, tables, jobs=2)
-    d.write_samples_csv(seq, tmp_path / "seq.csv")
-    d.write_samples_csv(pooled, tmp_path / "pooled.csv")
-    assert (tmp_path / "seq.csv").read_bytes() == \
-        (tmp_path / "pooled.csv").read_bytes()
-    assert seq.results == pooled.results
-    streams = np.random.SeedSequence(cfg.seed).spawn(cfg.iterations)
-    for it, stream in enumerate(streams):
-        [alone] = d.run_iteration(cfg, tables, [stream])
-        assert [r for i, r in seq.results if i == it] == alone
+    arithmetic, inter-D2D interference included, depends on its
+    block-mates.  One pair alone sees no inter-D2D interference, so its
+    actual rate is its predicted rate."""
+    for num_pairs in (1, 5, 10, 13):
+        cfg = d.with_updates(d.ScenarioConfig(),
+                             iterations=sim.BLOCK_SIZE + 1,
+                             num_d2d_pairs=num_pairs)
+        seq = d.run_campaign(cfg, tables)
+        pooled = d.run_campaign(cfg, tables, jobs=2)
+        d.write_samples_csv(seq, tmp_path / "seq.csv")
+        d.write_samples_csv(pooled, tmp_path / "pooled.csv")
+        assert (tmp_path / "seq.csv").read_bytes() == \
+            (tmp_path / "pooled.csv").read_bytes()
+        assert seq.results == pooled.results
+        streams = np.random.SeedSequence(cfg.seed).spawn(cfg.iterations)
+        for it, stream in enumerate(streams):
+            [alone] = d.run_iteration(cfg, tables, [stream])
+            assert [r for i, r in seq.results if i == it] == alone
+        if num_pairs == 1:
+            assert all(r.rate_actual == r.rate_predicted
+                       for _, r in seq.results)
 
 
 def test_report_counts_max_iter_apart(tables, monkeypatch):
