@@ -146,8 +146,9 @@ def power_loading(assignment, gains, tables, smap, config, d2d_kind):
     # normalized constraint matrix; a zero threshold leaves no headroom at all
     t_safe = np.maximum(thresholds, 1e-300)
     num_cu = len(thresholds)
-    chat = c.reshape(num_cu, -1) * p_max / t_safe[:, None]
-    a = np.vstack([chat, np.repeat(np.eye(num_pairs), s, axis=1)])
+    a = np.zeros((num_cu + num_pairs, num_pairs * s))
+    np.divide(c.reshape(num_cu, -1) * p_max, t_safe[:, None], out=a[:num_cu])
+    a[num_cu:].reshape(num_pairs, num_pairs, s)[np.diag_indices(num_pairs)] = 1
     i_cu = itf.i_cu_matrix(gains, zero, tables[(WaveformType.OFDM, d2d_kind)],
                            smap)
     g = p_max * gains.h_self[:, None] / (config.noise_per_subcarrier_w + i_cu)
@@ -168,54 +169,58 @@ def _projected_newton(z, a, g):
     z >= 0 (Bertsekas, SIAM J. Control Optim. 1982).
 
     Duals within epsilon of 0 with a positive gradient stay at the bound; the
-    rest take a Newton step with the Hessian H = A_F diag(1/w_F^2) A_F^T over
-    the subcarriers F inside (0, 1), damped Levenberg-Marquardt style to
-    H + lam (curv_i + max diag H) on the diagonal.  curv_i is H's diagonal,
-    or, on a row with no subcarrier inside (0, 1), the curvature at w clipped
-    to [g/(1+g), g], where the subcarriers would enter.  The step is
-    backtracked (Armijo) along the projection arc; lam starts at 1e-8, is
-    divided by 4 after a full step and multiplied by 16 otherwise: after a
-    shortened step, or after MAX_BACKTRACKS failed halvings, which leave z
-    where it was.  Stops at a KKT residual of 0.1 KKT_TOLERANCE.  The KKT
-    residual is the larger of the water-filled primal's overload
-    max(A x) - 1, before it is rescaled into feasibility, and the
-    complementary slackness max |z (1 - A x)| after.  Returns the duals,
-    the rescaled primal, the KKT residual and the steps taken.
+    rest take a Newton step with the Hessian H = A_F diag(v) A_F^T, v = 1/w^2
+    on the subcarriers inside (0, 1), where w > 0, and 0 elsewhere.  Formed
+    as one masked product, it can leave the returned powers and duals off
+    those of a product over the gathered inside columns in the last bits.
+    H is damped Levenberg-Marquardt style to H + lam (curv_i + max diag H)
+    on the diagonal.  curv_i is H's diagonal, or, on a row with no
+    subcarrier inside (0, 1), the curvature at w clipped to [g/(1+g), g],
+    where the subcarriers would enter.  The step is backtracked (Armijo)
+    along the projection arc; lam starts at 1e-8, is divided by 4 after a
+    full step and multiplied by 16 otherwise: after a shortened step, or
+    after MAX_BACKTRACKS failed halvings, which leave z where it was.  Stops
+    at a KKT residual of 0.1 KKT_TOLERANCE.  The KKT residual is the larger
+    of the water-filled primal's overload max(A x) - 1, before it is
+    rescaled into feasibility, and the complementary slackness
+    max |z (1 - A x)| after.  Returns the duals, the rescaled primal, the
+    KKT residual and the steps taken.
     """
     inv_g = 1.0 / g
-    entry = g / (1.0 + g)
     w, x = _water_fill(z, a, inv_g)
     lam = 1e-8
     for step in range(MAX_NEWTON_STEPS + 1):
         load = a @ x
+        grad = 1.0 - load
         over = max(load.max(initial=0.0), 1.0)
         kkt = max(over - 1.0, np.abs(z * (1.0 - load / over)).max(initial=0.0))
         if kkt < 0.1 * KKT_TOLERANCE or step == MAX_NEWTON_STEPS:
             break
-        grad = 1.0 - load
-        pg = z - np.maximum(z - grad, 0.0)
+        pg = np.minimum(z, grad)
         eps = min(1e-6, math.sqrt(pg @ pg))
         free = (z > eps) | (grad <= 0)
-        inside = (x > 0) & (x < 1)
-        a_free = a if free.all() else a[free]
-        af = a_free[:, inside]
-        h = (af / w[inside] ** 2) @ af.T
-        diag = h.diagonal().copy()
-        curv = diag.copy()
+        a_free = a[free]
+        wt = np.divide(1.0, w * w, out=np.zeros_like(w),
+                       where=(x > 0) & (x < 1))
+        h = (a_free * wt) @ a_free.T
+        diag = h.diagonal()
+        top = diag.max(initial=0.0)
+        damp = diag + top
         flat = diag <= 0
         if flat.any():
-            edge = np.minimum(np.maximum(w, entry), g)
-            curv[flat] = (a_free[flat] ** 2 / edge ** 2).sum(axis=1)
-        np.fill_diagonal(h, diag + lam * (curv + diag.max(initial=0.0)))
+            edge = np.minimum(np.maximum(w, g / (1.0 + g)), g)
+            damp[flat] = (a_free[flat] ** 2 / edge ** 2).sum(axis=1) + top
+        h.flat[::len(h) + 1] += lam * damp
         d = -grad
         d[free] = _solve(h, d[free])
+        gx1 = 1.0 + g * x
         for alpha in _STEP_LENGTHS:
             trial = np.maximum(z + alpha * d, 0.0)
             trial_w, trial_x = _water_fill(trial, a, inv_g)
             # D(trial) - D(z) = grad (trial - z) + curvature, with the
             # curvature summed per subcarrier: exact where D's rounding is not
             dx = trial_x - x
-            curvature = (np.log1p(g * dx / (1.0 + g * x)) - trial_w * dx).sum()
+            curvature = (np.log1p(g * dx / gx1) - trial_w * dx).sum()
             if curvature <= (1e-4 - 1.0) * (grad @ (trial - z)):
                 z, w, x = trial, trial_w, trial_x
                 break

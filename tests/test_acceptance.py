@@ -44,7 +44,7 @@ def _median_gap(report, case):
 
 @pytest.fixture(scope="module")
 def clustered_report(tables):
-    return d.run_campaign(d.ScenarioConfig(), tables)
+    return d.run_campaign(d.ScenarioConfig(), tables, jobs=2)
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +210,7 @@ def test_criterion_4_clustered_gap_contrast(clustered_report, report_line):
 def test_criterion_5_layout_contrast(tables, clustered_report, report_line):
     t0 = time.perf_counter()
     cfg = d.with_updates(d.ScenarioConfig(), layout=d.Layout.NON_CLUSTERED)
-    rep_n = d.run_campaign(cfg, tables)
+    rep_n = d.run_campaign(cfg, tables, jobs=2)
     gap_non = _median_gap(rep_n, sim.Case.D2D_OFDM)
     gap_clu = _median_gap(clustered_report, sim.Case.D2D_OFDM)
     elapsed = time.perf_counter() - t0
