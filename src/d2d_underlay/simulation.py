@@ -60,13 +60,17 @@ class IterationResult:
     case: Case
     rate_predicted: float       # bit/s, averaged over pairs
     rate_actual: float          # bit/s, averaged over pairs
-    feasible: bool
     cluster_radius: float
     cluster_distance: float
     num_pairs: int
     status: al.SolverStatus     # outcome of the case's power-loading solve
     newton_steps: int
     kkt_residual: float
+
+    @property
+    def feasible(self):
+        """Every solve but a skipped one (negative CU headroom) counts."""
+        return self.status is not al.SolverStatus.INFEASIBLE_SKIPPED
 
 
 @dataclass
@@ -75,8 +79,6 @@ class RateReport:
 
     iterations: int
     skipped: int
-    actual: dict                # Case -> sorted sample vector, bit/s
-    predicted: dict             # Case -> sorted sample vector
     cdf_grid: np.ndarray
     cdf: dict                   # (Case, "actual"|"predicted") -> values
     summary: dict               # (Case, variant, stat) -> float
@@ -89,25 +91,20 @@ def rate_from_sinr(sinr, subcarrier_spacing):
     return subcarrier_spacing * np.log2(1.0 + np.asarray(sinr, dtype=float))
 
 
-def _pair_rates(sinr, config):
-    """Mean over pairs of each pair's 12-subcarrier rate sum, bit/s, for
-    each snapshot of a block."""
-    per_pair = rate_from_sinr(sinr, config.subcarrier_spacing).sum(axis=-1)
-    return per_pair.mean(axis=-1)
-
-
 def _case_rates(gains, block_map, solves, tables, config, kind):
-    """Predicted and actual mean pair rates, bit/s, of every snapshot of a
-    block in one case, from its (assignment, power-loading result) solves;
-    a skipped snapshot's zero powers give it rates of exactly 0."""
+    """Actual and predicted rates, bit/s, of every snapshot of a block in one
+    case: each pair's rate summed over its subcarriers, averaged over pairs.
+    ``solves`` holds the case's (assignment, power-loading result) pairs; a
+    skipped snapshot's zero powers give it rates of exactly 0."""
     powers = itf.PowerAllocation(
         p_d2d=np.stack([res.powers.p_d2d for _, res in solves]),
         p_cu=itf.uniform_cu_powers(config))
     smap = replace(
         block_map, rb_of_d2d=np.stack([a.rb_of_pair for a, _ in solves]))
-    actual, predicted = itf.d2d_sinr_matrices(
+    sinr = itf.d2d_sinr_matrices(
         gains, powers, tables, smap, config.noise_per_subcarrier_w, kind)
-    return _pair_rates(predicted, config), _pair_rates(actual, config)
+    return [rate_from_sinr(x, config.subcarrier_spacing).sum(axis=-1)
+            .mean(axis=-1) for x in sinr]
 
 
 def run_iteration(config, tables, streams):
@@ -151,16 +148,13 @@ def run_iteration(config, tables, streams):
                 for p in placements]
     out = [[] for _ in placements]
     for case, done in zip(Case, solves):
-        predicted, actual = _case_rates(gains, block_map, done, tables,
+        actual, predicted = _case_rates(gains, block_map, done, tables,
                                         config, case.waveform)
         for k, (radius, distance) in enumerate(clusters):
             res = done[k][1]
             out[k].append(IterationResult(
                 case=case, rate_predicted=float(predicted[k]),
                 rate_actual=float(actual[k]),
-                # the CU headroom does not depend on the waveform, so a
-                # snapshot is skipped in both cases or in neither
-                feasible=res.status is not al.SolverStatus.INFEASIBLE_SKIPPED,
                 cluster_radius=radius, cluster_distance=distance,
                 num_pairs=config.num_d2d_pairs, status=res.status,
                 newton_steps=res.iterations_used,
@@ -194,26 +188,25 @@ def run_campaign(config, tables, jobs=0):
 
 
 def build_report(results, iterations):
-    """Report of ``(iteration, IterationResult)`` pairs.
-
-    A snapshot must be skipped in both cases or in neither, as
-    ``run_iteration`` does, so that every (case, variant) series has the
-    same length; a list that breaks this raises ``ValueError``.
-    """
+    """Report of ``(iteration, IterationResult)`` pairs, both cases of every
+    iteration.  The CU headroom does not depend on the waveform, so
+    ``run_iteration`` skips a snapshot in both cases or in neither; a list
+    whose two cases skip different iterations raises ``ValueError``."""
     series = {key: [] for key in _COLUMNS}
-    skipped_iters = set()
+    skipped = {case: set() for case in Case}
     solver_status = {status: 0 for status in al.SolverStatus}
     for it, r in results:
         solver_status[r.status] += 1
         if not r.feasible:
-            skipped_iters.add(it)
+            skipped[r.case].add(it)
             continue
         series[(r.case, "actual")].append(r.rate_actual)
         series[(r.case, "predicted")].append(r.rate_predicted)
-    if len({len(v) for v in series.values()}) > 1:
+    skipped_ofdm, skipped_fbmc = skipped.values()
+    if skipped_ofdm != skipped_fbmc:
         raise ValueError("a snapshot must be skipped in both cases or in "
                          "neither")
-    # equal lengths stack into one sorted (series, samples) array
+    # equal skip sets leave equal lengths: one sorted (series, samples) array
     samples = np.sort(np.array(list(series.values())), axis=1)
     n = samples.shape[1]
     if n == 0:
@@ -232,10 +225,7 @@ def build_report(results, iterations):
         cdf[key] = np.searchsorted(samples[row], grid, side="right") / n
         for stat, values in stats.items():
             summary[key + (stat,)] = float(values[row])
-    rows = dict(zip(_COLUMNS, samples))
-    return RateReport(iterations=iterations, skipped=len(skipped_iters),
-                      actual={c: rows[(c, "actual")] for c in Case},
-                      predicted={c: rows[(c, "predicted")] for c in Case},
+    return RateReport(iterations=iterations, skipped=len(skipped_ofdm),
                       cdf_grid=grid, cdf=cdf, summary=summary,
                       solver_status=solver_status, results=results)
 

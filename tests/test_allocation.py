@@ -402,6 +402,27 @@ def test_max_iter_stall_snapshot_ends_optimal(tables, solves):
     assert all(res.status is al.SolverStatus.OPTIMAL for res in solves)
 
 
+@pytest.mark.parametrize("kind", [OFDM, FBMC])
+def test_projected_newton_from_zero_duals(tables, kind):
+    """From all-zero duals every column water-fills at w = 0, where the
+    Hessian weight 1/w^2 is undefined, so the first step must leave those
+    columns out without a division (a RuntimeWarning fails the test).  The
+    solve still ends below KKT_TOLERANCE, at the objective of the solve
+    from _start_duals, on small instances (4 RBs, 3 pairs)."""
+    for seed in range(6):
+        cfg, gains, smap, zero = small_instance(tables, seed=seed, num_rbs=4)
+        assignment = al.hungarian(itf.cu_to_d2d_cost_matrix(
+            gains, zero, tables[(OFDM, kind)], smap))
+        a, g = normalized_problem(assignment, gains, tables, smap, cfg, kind)
+        assert np.all(a >= 0)               # no negative CU headroom
+        objective = []
+        for z in (np.zeros(len(a)), al._start_duals(a, g)):
+            _, x, kkt, _ = al._projected_newton(z, a, g.ravel())
+            assert kkt < al.KKT_TOLERANCE
+            objective.append(np.log1p(g.ravel() * x).sum())
+        assert objective[0] == pytest.approx(objective[1], rel=1e-8)
+
+
 def normalized_problem(assignment, gains, tables, smap, cfg, kind):
     """The solver's constraint matrix A (CU rows, then one cap row per pair)
     and gains g shaped (pairs, S), rebuilt from the module's definitions."""
