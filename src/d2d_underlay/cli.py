@@ -101,7 +101,6 @@ def _cmd_tables(args):
         name = "table_%s_%s.csv" % (a.value.lower(), b.value.lower())
         wf.save_table(tables[(a, b)], os.path.join(out, name))
         print(os.path.join(out, name))
-    return EXIT_OK
 
 
 def _cmd_run(args):
@@ -114,7 +113,6 @@ def _cmd_run(args):
     sim.write_gnuplot_cdf(os.path.join(out, "cdf.gp"))
     print("%d iterations, %d skipped -> %s" % (report.iterations,
                                                report.skipped, out))
-    return EXIT_OK
 
 
 def _cmd_sweep(args):
@@ -133,41 +131,32 @@ def _cmd_sweep(args):
     sim.write_sweep_csv(parameter, points, os.path.join(out, "sweep.csv"))
     sim.write_gnuplot_sweep(parameter, os.path.join(out, "sweep.gp"))
     print("%d sweep points -> %s" % (len(points), out))
-    return EXIT_OK
 
 
 def _cmd_validate(args):
     geo.load_config(args.config)
     print("ok")
-    return EXIT_OK
 
 
 def main(argv=None):
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
         if getattr(args, "jobs", 0) < 0:
             raise UsageError("--jobs must be >= 0, got %d" % args.jobs)
+        if args.subcommand is None:
+            raise UsageError("a subcommand is required "
+                             "(tables, run, sweep, validate)")
+        {"tables": _cmd_tables, "run": _cmd_run, "sweep": _cmd_sweep,
+         "validate": _cmd_validate}[args.subcommand](args)
+        return EXIT_OK
     except UsageError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_USAGE
-    if args.subcommand is None:
-        print("error: a subcommand is required (tables, run, sweep, validate)",
-              file=sys.stderr)
-        return EXIT_USAGE
-    handler = {"tables": _cmd_tables, "run": _cmd_run,
-               "sweep": _cmd_sweep, "validate": _cmd_validate}[args.subcommand]
-    try:
-        return handler(args)
-    except UsageError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_USAGE
+        code, message = EXIT_USAGE, exc
     except (sim.EmptyReportError, ValueError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_INVARIANT
+        code, message = EXIT_INVARIANT, exc
     except OSError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_CONFIG
+        code, message = EXIT_CONFIG, exc
+    print("error: %s" % message, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

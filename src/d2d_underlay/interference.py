@@ -64,13 +64,11 @@ class PowerAllocation:
     p_d2d: np.ndarray     # (pairs, subcarriers per RB), W
     p_cu: np.ndarray      # (CUs,), W per RB
 
-    def validate(self, max_tx_power_w=None):
+    def validate(self, max_tx_power_w):
         if np.any(self.p_d2d < 0):
             raise ValueError("negative D2D subcarrier power")
-        if max_tx_power_w is not None:
-            tot = self.p_d2d.sum(axis=-1)
-            if np.any(tot > max_tx_power_w * (1 + 1e-9)):
-                raise ValueError("per-pair power exceeds the cap")
+        if np.any(self.p_d2d.sum(axis=-1) > max_tx_power_w * (1 + 1e-9)):
+            raise ValueError("per-pair power exceeds the cap")
         return self
 
 

@@ -14,7 +14,7 @@ on its block-mates, so a report is the same for any ``jobs``.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -83,7 +83,7 @@ class RateReport:
     cdf: dict                   # (Case, "actual"|"predicted") -> values
     summary: dict               # (Case, variant, stat) -> float
     solver_status: dict         # SolverStatus -> number of cases
-    results: list = field(default_factory=list)   # (iteration, IterationResult)
+    results: list               # (iteration, IterationResult)
 
 
 def rate_from_sinr(sinr, subcarrier_spacing):
@@ -188,24 +188,27 @@ def run_campaign(config, tables, jobs=0):
 
 
 def build_report(results, iterations):
-    """Report of ``(iteration, IterationResult)`` pairs, both cases of every
-    iteration.  The CU headroom does not depend on the waveform, so
-    ``run_iteration`` skips a snapshot in both cases or in neither; a list
-    whose two cases skip different iterations raises ``ValueError``."""
+    """Report of ``(iteration, IterationResult)`` pairs, one per case for
+    each iteration in ``range(iterations)``.  The CU headroom does not depend
+    on the waveform, so ``run_iteration`` skips a snapshot in both cases or
+    in neither; a list that breaks either rule raises ``ValueError``."""
     series = {key: [] for key in _COLUMNS}
-    skipped = {case: set() for case in Case}
+    feasible = {(it, case): [] for it in range(iterations) for case in Case}
     solver_status = {status: 0 for status in al.SolverStatus}
     for it, r in results:
+        feasible.setdefault((it, r.case), []).append(r.feasible)
         solver_status[r.status] += 1
-        if not r.feasible:
-            skipped[r.case].add(it)
-            continue
-        series[(r.case, "actual")].append(r.rate_actual)
-        series[(r.case, "predicted")].append(r.rate_predicted)
-    skipped_ofdm, skipped_fbmc = skipped.values()
-    if skipped_ofdm != skipped_fbmc:
-        raise ValueError("a snapshot must be skipped in both cases or in "
-                         "neither")
+        if r.feasible:
+            series[(r.case, "actual")].append(r.rate_actual)
+            series[(r.case, "predicted")].append(r.rate_predicted)
+    for (it, case), flags in feasible.items():
+        if len(flags) != 1 or not 0 <= it < iterations:
+            raise ValueError("iteration %d has %d %s results; a report needs "
+                             "one per case for each iteration in 0..%d"
+                             % (it, len(flags), case.value, iterations - 1))
+        if flags != feasible[(it, Case.D2D_OFDM)]:
+            raise ValueError("snapshot %d must be skipped in both cases or "
+                             "in neither" % it)
     # equal skip sets leave equal lengths: one sorted (series, samples) array
     samples = np.sort(np.array(list(series.values())), axis=1)
     n = samples.shape[1]
@@ -225,7 +228,7 @@ def build_report(results, iterations):
         cdf[key] = np.searchsorted(samples[row], grid, side="right") / n
         for stat, values in stats.items():
             summary[key + (stat,)] = float(values[row])
-    return RateReport(iterations=iterations, skipped=len(skipped_ofdm),
+    return RateReport(iterations=iterations, skipped=iterations - n,
                       cdf_grid=grid, cdf=cdf, summary=summary,
                       solver_status=solver_status, results=results)
 
@@ -312,9 +315,9 @@ def _write_gnuplot(path, xlabel, ylabel, key, style, csv):
     atomic_write(path, "\n".join(lines) + "\n")
 
 
-def write_gnuplot_cdf(path, cdf_csv="cdf.csv"):
+def write_gnuplot_cdf(path):
     _write_gnuplot(path, "Average rate per D2D pair (bit/s)", "CDF",
-                   "bottom right", "lines", cdf_csv)
+                   "bottom right", "lines", "cdf.csv")
 
 
 def write_gnuplot_sweep(parameter, path, sweep_csv="sweep.csv"):

@@ -132,8 +132,8 @@ class InterferenceTable:
     interferer: WaveformType
     victim: WaveformType
     coeffs: np.ndarray
-    method: str = PSD
-    _kernel_cache: dict = field(default_factory=dict, repr=False)
+    method: str
+    _kernel_cache: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def half_span(self):

@@ -145,7 +145,7 @@ def test_power_loading_symmetric_instance_uniform(tables):
     # flat table: every spectral distance leaks the same fraction
     flat = wf.InterferenceTable(
         interferer=wf.OFDM, victim=wf.OFDM,
-        coeffs=np.full(S + 1, 1.0 / (2 * S + 1))).validate()
+        coeffs=np.full(S + 1, 1.0 / (2 * S + 1)), method=wf.PSD).validate()
     flat_tables = {k: flat for k in tables}
     smap = itf.SpectrumMap(rb_of_cu=np.array([0]), num_rbs=1,
                            subcarriers_per_rb=S).validate()

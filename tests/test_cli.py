@@ -1,4 +1,5 @@
 import contextlib
+import importlib
 import io
 import os
 import stat
@@ -17,12 +18,21 @@ import d2d_underlay as d
 from d2d_underlay import cli, simulation as sim, waveform as wf
 
 DATA = Path(__file__).parent / "data"
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _run(capsys, argv):
     code = cli.main(argv)
     out, err = capsys.readouterr()
     return code, out, err
+
+
+def _src_env():
+    """The environment with this checkout's ``src`` first on PYTHONPATH, for
+    a fresh interpreter."""
+    path = os.pathsep.join(p for p in (str(ROOT / "src"),
+                                       os.environ.get("PYTHONPATH")) if p)
+    return dict(os.environ, PYTHONPATH=path)
 
 
 @pytest.fixture
@@ -64,14 +74,41 @@ def test_import_leaves_unused_scipy_subpackages_unloaded():
     other test modules import scipy.stats here."""
     unused = ("scipy.signal", "scipy.stats", "scipy.interpolate",
               "scipy.integrate", "scipy.ndimage")
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     probe = ("import sys, d2d_underlay, d2d_underlay.cli; "
              "print(' '.join(m for m in %r if m in sys.modules))" % (unused,))
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
-                          text=True, check=True,
-                          env=dict(os.environ, PYTHONPATH=path))
+                          text=True, check=True, env=_src_env())
     assert done.stdout.split() == []
+
+
+def test_console_script_is_cli_main(config_path, tmp_path):
+    """The ``d2d-underlay`` script of ``pyproject.toml`` is ``cli.main``, and
+    ``python -m d2d_underlay.cli`` exits with its codes: a success prints
+    nothing on stderr, and each failure exactly one ``error:`` line."""
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as f:
+        entry = tomllib.load(f)["project"]["scripts"]["d2d-underlay"]
+    module, _, name = entry.partition(":")
+    assert getattr(importlib.import_module(module), name) is cli.main
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("num_d2d_pairs = 0\n")
+    cases = [(["validate", "--config", config_path], cli.EXIT_OK),
+             (["validate"], cli.EXIT_USAGE),
+             (["validate", "--config", str(tmp_path / "nope.cfg")],
+              cli.EXIT_CONFIG),
+             (["validate", "--config", str(bad)], cli.EXIT_INVARIANT)]
+    procs = [subprocess.Popen([sys.executable, "-m", "d2d_underlay.cli", *argv],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              text=True, env=_src_env())
+             for argv, _ in cases]
+    for (argv, code), proc in zip(cases, procs):
+        out, err = proc.communicate(timeout=120)
+        assert proc.returncode == code, argv
+        if code == cli.EXIT_OK:
+            assert (out, err) == ("ok\n", "")
+        else:
+            assert out == ""
+            assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
 def test_no_subcommand_is_usage_error(capsys):

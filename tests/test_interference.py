@@ -211,7 +211,7 @@ def test_spectrum_map_validation():
 def test_power_allocation_validation():
     with pytest.raises(ValueError):
         itf.PowerAllocation(p_d2d=np.array([[-1.0]]),
-                            p_cu=np.array([1.0])).validate()
+                            p_cu=np.array([1.0])).validate(max_tx_power_w=1.0)
     with pytest.raises(ValueError):
         itf.PowerAllocation(p_d2d=np.full((1, 12), 1.0),
                             p_cu=np.array([1.0])).validate(max_tx_power_w=0.25)

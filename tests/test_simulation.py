@@ -3,6 +3,8 @@ import inspect
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import d2d_underlay as d
 from d2d_underlay import allocation as al
@@ -100,6 +102,14 @@ def test_equal_tables_make_the_cases_identical(tables, layout):
     assert any(feasible for _, _, feasible, *_ in by_case[sim.Case.D2D_OFDM])
 
 
+# the config fields that a common dB shift moves together
+POWERS = ("noise_per_subcarrier", "max_tx_power", "cu_tx_power")
+OFDM, FBMC = d.WaveformType.OFDM, d.WaveformType.FBMC_OQAM
+# the case that reads each (interferer, victim) table
+READERS = {(OFDM, OFDM): sim.Case.D2D_OFDM, (OFDM, FBMC): sim.Case.D2D_FBMC,
+           (FBMC, OFDM): sim.Case.D2D_FBMC, (FBMC, FBMC): sim.Case.D2D_FBMC}
+
+
 def small_campaign(tables, layout, **updates):
     """Every (iteration, result) pair of a 40-snapshot campaign of 4 pairs
     on 6 RBs."""
@@ -116,7 +126,6 @@ def test_a_common_power_shift_leaves_the_campaign_unchanged(tables, layout):
     within 1e-12 relative.  A 47 dB CU floor skips 22 of the 40 snapshots,
     so the flags are not all alike; there the CU headroom is a difference
     of nearly equal terms, whose rounding moves rates by up to 1.3e-12."""
-    powers = ("noise_per_subcarrier", "max_tx_power", "cu_tx_power")
     base_cfg = d.ScenarioConfig()
     for cu_min_sinr, skips, rtol in ((10.0, 0, 1e-12), (47.0, 22, 1e-10)):
         base = small_campaign(tables, layout, cu_min_sinr=cu_min_sinr)
@@ -124,7 +133,7 @@ def test_a_common_power_shift_leaves_the_campaign_unchanged(tables, layout):
         assert flags.count(False) == 2 * skips
         rates = [(r.rate_actual, r.rate_predicted) for _, r in base]
         for shift in (10.0, -17.0):
-            moved = {name: getattr(base_cfg, name) + shift for name in powers}
+            moved = {name: getattr(base_cfg, name) + shift for name in POWERS}
             results = small_campaign(tables, layout, cu_min_sinr=cu_min_sinr,
                                      **moved)
             assert [r.feasible for _, r in results] == flags
@@ -135,9 +144,8 @@ def test_a_common_power_shift_leaves_the_campaign_unchanged(tables, layout):
 
 def zeroed(tables, key):
     """The tables with the ``key`` table's coefficients all 0."""
-    t = tables[key]
-    return {**tables, key: d.InterferenceTable(
-        t.interferer, t.victim, np.zeros_like(t.coeffs), t.method)}
+    return {**tables, key: dataclasses.replace(
+        tables[key], coeffs=np.zeros_like(tables[key].coeffs))}
 
 
 @pytest.mark.parametrize("layout", list(d.Layout))
@@ -148,18 +156,12 @@ def test_a_zeroed_table_changes_only_the_case_that_reads_it(tables, layout):
     reads it and no result of the other.  Zeroing a case's D2D->D2D table
     removes its inter-D2D interference, so its actual rate equals its
     predicted rate exactly."""
-    ofdm, fbmc = d.WaveformType.OFDM, d.WaveformType.FBMC_OQAM
-    readers = {(ofdm, ofdm): sim.Case.D2D_OFDM,
-               (ofdm, fbmc): sim.Case.D2D_FBMC,
-               (fbmc, ofdm): sim.Case.D2D_FBMC,
-               (fbmc, fbmc): sim.Case.D2D_FBMC}
-
     def outcome(r):
         return (r.rate_actual, r.rate_predicted, r.status, r.newton_steps,
                 r.kkt_residual)
 
     base = small_campaign(tables, layout)
-    for key, reader in readers.items():
+    for key, reader in READERS.items():
         results = small_campaign(zeroed(tables, key), layout)
         changed = [r.case for (_, r), (_, b) in zip(results, base)
                    if outcome(r) != outcome(b)]
@@ -167,6 +169,59 @@ def test_a_zeroed_table_changes_only_the_case_that_reads_it(tables, layout):
         if key[0] is key[1]:
             assert all(r.rate_actual == r.rate_predicted
                        for _, r in results if r.case is reader)
+
+
+@st.composite
+def small_configs(draw):
+    """2 to 8 RBs, 1 pair up to one per RB, 1, 2 or 12 subcarriers per RB,
+    either layout: 20 snapshots at the default CU SINR floor."""
+    num_rbs = draw(st.integers(2, 8))
+    return d.with_updates(
+        d.ScenarioConfig(), num_rbs=num_rbs,
+        num_d2d_pairs=draw(st.integers(1, num_rbs)),
+        subcarriers_per_rb=draw(st.sampled_from([1, 2, 12])),
+        layout=draw(st.sampled_from(list(d.Layout))),
+        seed=draw(st.integers(0, 2 ** 32 - 1)), iterations=20)
+
+
+@settings(derandomize=True, deadline=None, max_examples=20)
+@given(cfg=small_configs())
+@example(cfg=d.with_updates(d.ScenarioConfig(), num_rbs=8, num_d2d_pairs=8,
+                            iterations=20))
+def test_relations_hold_on_small_configs(tables, cfg):
+    """The three relations above, on drawn configs: a common power shift
+    keeps every flag and every rate within 1e-12; one table in all four
+    slots makes the cases bit-identical; zeroing one table leaves the other
+    case bit-identical, changes every feasible result of the case that
+    reads it for CU-into-D2D leakage, and, for a D2D->D2D table, makes the
+    reading case's actual rate equal its predicted rate."""
+
+    def outcomes(tabs, config=cfg):
+        return [(r.case, (r.rate_actual, r.rate_predicted, r.feasible,
+                          r.status, r.newton_steps, r.kkt_residual))
+                for _, r in d.run_campaign(config, tabs).results]
+
+    base = outcomes(tables)
+    for shift in (10.0, -17.0):
+        moved = outcomes(tables, d.with_updates(
+            cfg, **{name: getattr(cfg, name) + shift for name in POWERS}))
+        assert [o[2] for _, o in moved] == [o[2] for _, o in base]
+        np.testing.assert_allclose([o[:2] for _, o in moved],
+                                   [o[:2] for _, o in base], rtol=1e-12, atol=0)
+
+    same = outcomes({key: tables[(OFDM, OFDM)] for key in tables})
+    assert [o for c, o in same if c is sim.Case.D2D_OFDM] \
+        == [o for c, o in same if c is sim.Case.D2D_FBMC]
+
+    for key, reader in READERS.items():
+        results = outcomes(zeroed(tables, key))
+        for (case, o), (_, b) in zip(results, base):
+            if case is not reader:
+                assert o == b
+            elif key[0] is OFDM and b[2]:
+                assert o != b
+            if case is reader and key[0] is key[1]:
+                assert o[0] == o[1]
 
 
 def skipped(result):
@@ -196,6 +251,28 @@ def test_report_rejects_snapshots_skipped_in_opposite_cases(tables):
                 (i1, ofdm1), (i1, skipped(fbmc1))]
     with pytest.raises(ValueError, match="both cases or in neither"):
         sim.build_report(opposite, cfg.iterations)
+
+
+def test_report_needs_one_result_per_case_for_every_iteration(tables):
+    """A list that drops a case's result, repeats one in place of another,
+    or carries one beyond the last iteration fails, naming the iteration
+    and the case; the same results in any order give the same report."""
+    cfg = d.with_updates(d.ScenarioConfig(), iterations=4)
+    rep = d.run_campaign(cfg, tables)
+    results = rep.results
+    assert [(it, r.case) for it, r in results] == [
+        (it, case) for it in range(4) for case in sim.Case]
+    missing = results[:-1]
+    repeated = results[:6] + [results[4]] + results[7:]
+    beyond = results + [(4, results[-1][1])]
+    for bad, match in ((missing, "iteration 3 has 0 D2D_FBMC"),
+                       (repeated, "iteration 2 has 2 D2D_OFDM"),
+                       (beyond, "iteration 4 has 1 D2D_FBMC")):
+        with pytest.raises(ValueError, match=match):
+            sim.build_report(bad, cfg.iterations)
+    shuffled = sim.build_report(results[::-1], cfg.iterations)
+    assert shuffled.summary == rep.summary
+    assert shuffled.skipped == rep.skipped
 
 
 def test_campaign_determinism(tables):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -322,6 +323,20 @@ def test_band_kernels_match_direct_sum(tables):
     assert np.allclose(kern.band, kern.sub.sum(axis=(1, 2)))
 
 
+def test_replaced_table_builds_its_own_kernels(tables):
+    """``dataclasses.replace`` gives the copy a fresh kernel cache: a copy
+    with zeroed coefficients serves zero kernels even after the original
+    has cached its own, and the original keeps them."""
+    t = tables[(wf.WaveformType.OFDM, wf.WaveformType.OFDM)]
+    band = t.band_kernels(6, 12).band
+    assert band.max() > 0
+    zero = dataclasses.replace(t, coeffs=np.zeros_like(t.coeffs))
+    kern = zero.band_kernels(6, 12)
+    for name in ("sub", "by_interferer", "by_victim", "band"):
+        assert not getattr(kern, name).any(), name
+    assert t.band_kernels(6, 12).band is band
+
+
 def test_save_load_round_trip(tmp_path, tables):
     """The CSV ``save_table`` writes carries the table's header fields and
     reads back bit-equal with ``np.loadtxt``."""
@@ -344,7 +359,7 @@ def test_save_load_round_trip(tmp_path, tables):
 def test_save_rejects_invalid_coefficient(tmp_path, value):
     coeffs = np.array([0.5, 0.1, 0.01])
     coeffs[2] = value
-    table = wf.InterferenceTable(wf.OFDM, wf.OFDM, coeffs)
+    table = wf.InterferenceTable(wf.OFDM, wf.OFDM, coeffs, wf.PSD)
     with pytest.raises(d.TableValidationError, match="l=\\[2\\]"):
         d.save_table(table, tmp_path / "t.csv")
     assert list(tmp_path.iterdir()) == []
