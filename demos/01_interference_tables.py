@@ -33,18 +33,17 @@ def main():
     for l in range(0, 6):
         row = "  %d  " % l
         for table in tables.values():
-            row += "%18.3e" % table.coeff(l)
+            row += "%18.3e" % table.coeffs[l]
         print(row)
 
     ff = tables[(WaveformType.FBMC_OQAM, WaveformType.FBMC_OQAM)]
     oo = tables[(WaveformType.OFDM, WaveformType.OFDM)]
     span = ff.half_span
-    oob = lambda t: sum(t.coeff(l) for l in range(-span, span + 1) if l != 0)
+    oob = lambda t: 2 * t.coeffs[1:].sum()
     print("\nTotal out-of-band leakage: filter-bank %.3e vs plain %.3e"
           % (oob(ff), oob(oo)))
     print("Beyond the adjacent subcarrier (|l| >= 2) the ratio collapses to "
-          "%.1e:" % (sum(ff.coeff(l) for l in range(2, span + 1)) * 2
-                     / (sum(oo.coeff(l) for l in range(2, span + 1)) * 2)))
+          "%.1e:" % (ff.coeffs[2:].sum() / oo.coeffs[2:].sum()))
     print("the filter bank is leaky only into its immediate neighbour, and "
           "even\nthere only because an asynchronous victim cannot exploit the "
           "real-field\northogonality of offset-QAM.\n")
@@ -53,8 +52,8 @@ def main():
     print("Band-integration (PSD) estimate at l = 0..2 vs receiver "
           "simulation:")
     for l in range(3):
-        print("  l=%d  psd %.3e   receiver %.3e" % (l, psd.coeff(l),
-                                                    ff.coeff(l)))
+        print("  l=%d  psd %.3e   receiver %.3e" % (l, psd.coeffs[l],
+                                                    ff.coeffs[l]))
     print("The PSD route ignores the receiver's matched filtering, so it is "
           "a\nrough cross-check, not a substitute.\n")
 

@@ -32,7 +32,6 @@ def main():
     ap.add_argument("--iterations", type=int, default=200,
                     help="iterations per sweep point (1000 for smooth curves)")
     args = ap.parse_args()
-    os.makedirs(args.out, exist_ok=True)
 
     tables = build_all_tables(build_phydyas_filter(4, 512), num_offsets=400)
     cfg = with_updates(ScenarioConfig(), iterations=args.iterations)
@@ -49,12 +48,12 @@ def main():
             f = report.summary[(Case.D2D_FBMC, "actual", "mean")]
             print("%12g %16.0f %16.0f %11.1f%%" % (value, o, f,
                                                    100 * (f - o) / o))
-        name = "sweep_%s" % parameter.value.lower()
-        write_sweep_csv(parameter, points,
-                        os.path.join(args.out, name + ".csv"))
-        write_gnuplot_sweep(parameter, os.path.join(args.out, name + ".gp"),
-                            sweep_csv=name + ".csv")
-        print("wrote %s.csv and %s.gp to %s" % (name, name, args.out))
+        # one directory per sweep, laid out as d2d-underlay sweep writes it
+        out = os.path.join(args.out, parameter.value.lower())
+        os.makedirs(out, exist_ok=True)
+        write_sweep_csv(parameter, points, os.path.join(out, "sweep.csv"))
+        write_gnuplot_sweep(parameter, os.path.join(out, "sweep.gp"))
+        print("wrote sweep.csv and sweep.gp to %s" % out)
 
 
 if __name__ == "__main__":

@@ -88,7 +88,7 @@ def cu_constraint_coefficients(gains, tables, smap, cu_powers, config, d2d_kind)
     """
     c = itf.d2d_to_cu_coefficients(
         gains, tables[(d2d_kind, WaveformType.OFDM)], smap)
-    gamma_min = 10.0 ** (config.cu_min_sinr / 10.0)
+    gamma_min = config.cu_min_sinr_linear
     sigma2_rb = config.noise_per_subcarrier_w * smap.subcarriers_per_rb
     thresholds = cu_powers * gains.h_cu_bs / gamma_min - sigma2_rb
     return c, thresholds

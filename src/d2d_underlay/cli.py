@@ -19,8 +19,6 @@ EXIT_USAGE = 2
 EXIT_CONFIG = 3
 EXIT_INVARIANT = 4
 
-OUTPUT_DIR_ENV = "D2D_UNDERLAY_OUT"
-
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -37,18 +35,16 @@ def _build_parser():
                             "underlaying an OFDMA uplink.")
     sub = p.add_subparsers(dest="subcommand", metavar="{tables,run,sweep,validate}")
 
-    t = sub.add_parser("tables", parents=[], add_help=True,
-                       help="generate interference tables as CSV")
+    t = sub.add_parser("tables", help="generate interference tables as CSV")
     t.add_argument("--pair", default="all",
                    help="interferer:victim, e.g. fbmc:fbmc, or 'all'")
     t.add_argument("--method", choices=["time", "psd"], default="time",
                    help="averaging method (receiver simulation or PSD overlap)")
-    t.add_argument("--out", default=None, help="output directory")
+    t.add_argument("--out", default=".", help="output directory")
 
     r = sub.add_parser("run", help="run one Monte Carlo campaign")
     r.add_argument("--config", required=True, help="key = value config file")
-    r.add_argument("--out", default=None, help="output directory")
-    r.add_argument("--seed", type=int, default=None, help="override config seed")
+    r.add_argument("--out", default=".", help="output directory")
     r.add_argument("--jobs", type=int, default=0,
                    help="worker processes (0 = sequential)")
 
@@ -58,8 +54,7 @@ def _build_parser():
                    choices=[param.value.lower() for param in sim.SweepParameter])
     s.add_argument("--values", required=True,
                    help="comma-separated list of parameter values")
-    s.add_argument("--out", default=None, help="output directory")
-    s.add_argument("--seed", type=int, default=None, help="override config seed")
+    s.add_argument("--out", default=".", help="output directory")
     s.add_argument("--jobs", type=int, default=0,
                    help="worker processes (0 = sequential)")
 
@@ -69,16 +64,8 @@ def _build_parser():
 
 
 def _out_dir(args):
-    out = getattr(args, "out", None) or os.environ.get(OUTPUT_DIR_ENV) or "."
-    os.makedirs(out, exist_ok=True)
-    return out
-
-
-def _load_config(path, seed_override):
-    config = geo.load_config(path)
-    if seed_override is not None:
-        config = geo.with_updates(config, seed=seed_override)
-    return config
+    os.makedirs(args.out, exist_ok=True)
+    return args.out
 
 
 def _build_tables(method=wf.TIME_SIM):
@@ -104,7 +91,7 @@ def _cmd_tables(args):
 
 
 def _cmd_run(args):
-    config = _load_config(args.config, args.seed)
+    config = geo.load_config(args.config)
     out = _out_dir(args)
     tables = _build_tables()
     report = sim.run_campaign(config, tables, jobs=args.jobs)
@@ -116,7 +103,7 @@ def _cmd_run(args):
 
 
 def _cmd_sweep(args):
-    config = _load_config(args.config, args.seed)
+    config = geo.load_config(args.config)
     parameter = sim.SweepParameter[args.parameter.upper()]
     try:
         values = [float(v) for v in args.values.split(",") if v.strip()]

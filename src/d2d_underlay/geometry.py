@@ -19,6 +19,14 @@ class ConfigurationError(ValueError):
     """Scenario configuration violates a geometric or structural constraint."""
 
 
+def db_to_linear(x):
+    """10^(x/10), or inf where that overflows a float."""
+    try:
+        return 10.0 ** (x / 10.0)
+    except OverflowError:
+        return math.inf
+
+
 class Layout(Enum):
     CLUSTERED = "CLUSTERED"
     NON_CLUSTERED = "NON_CLUSTERED"
@@ -60,6 +68,14 @@ class ScenarioConfig:
             if isinstance(value, float) and not np.isfinite(value):
                 raise ConfigurationError("%s must be finite, got %r"
                                          % (f.name, value))
+        for name, linear in (("cu_min_sinr", self.cu_min_sinr_linear),
+                             ("noise_per_subcarrier", self.noise_per_subcarrier_w),
+                             ("max_tx_power", self.max_tx_power_w),
+                             ("cu_tx_power", self.cu_tx_power_w)):
+            if not 0.0 < linear < math.inf:
+                raise ConfigurationError(
+                    "%s must convert to a finite, positive linear value, "
+                    "got %r" % (name, getattr(self, name)))
         if self.num_d2d_pairs > self.num_rbs:
             raise ConfigurationError(
                 "num_d2d_pairs (%d) must not exceed num_rbs (%d): the RB map "
@@ -110,16 +126,20 @@ class ScenarioConfig:
         return self.num_rbs
 
     @property
+    def cu_min_sinr_linear(self):
+        return db_to_linear(self.cu_min_sinr)
+
+    @property
     def noise_per_subcarrier_w(self):
-        return 10.0 ** ((self.noise_per_subcarrier - 30.0) / 10.0)
+        return db_to_linear(self.noise_per_subcarrier - 30.0)
 
     @property
     def max_tx_power_w(self):
-        return 10.0 ** ((self.max_tx_power - 30.0) / 10.0)
+        return db_to_linear(self.max_tx_power - 30.0)
 
     @property
     def cu_tx_power_w(self):
-        return 10.0 ** ((self.cu_tx_power - 30.0) / 10.0)
+        return db_to_linear(self.cu_tx_power - 30.0)
 
     @property
     def cluster_radius_bound(self):
@@ -235,8 +255,10 @@ def _coerce(name, text):
 
 
 def load_config(path):
-    """Read a ``key = value`` config file (# comments) into a ScenarioConfig."""
+    """Read a ``key = value`` config file (# comments) into a ScenarioConfig;
+    each key may appear once."""
     values = {}
+    first_line = {}
     with open(path, encoding="utf-8") as fh:
         try:
             lines = fh.readlines()
@@ -254,6 +276,10 @@ def load_config(path):
             key = key.strip()
             if key not in _DEFAULTS:
                 raise ConfigurationError("%s:%d: unknown key %r" % (path, ln, key))
+            if key in first_line:
+                raise ConfigurationError("%s:%d: key %r repeats line %d"
+                                         % (path, ln, key, first_line[key]))
+            first_line[key] = ln
             try:
                 values[key] = _coerce(key, val)
             except ValueError as exc:

@@ -320,7 +320,7 @@ def write_gnuplot_cdf(path):
                    "bottom right", "lines", "cdf.csv")
 
 
-def write_gnuplot_sweep(parameter, path, sweep_csv="sweep.csv"):
+def write_gnuplot_sweep(parameter, path):
     _write_gnuplot(path, parameter.value.lower(),
                    "Mean rate per D2D pair (bit/s)", "top right",
-                   "linespoints", sweep_csv)
+                   "linespoints", "sweep.csv")

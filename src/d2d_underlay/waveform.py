@@ -139,11 +139,6 @@ class InterferenceTable:
     def half_span(self):
         return self.coeffs.size - 1
 
-    def coeff(self, l):
-        """I(l); zero beyond the half span by definition."""
-        l = abs(int(l))
-        return float(self.coeffs[l]) if l <= self.half_span else 0.0
-
     def validate(self):
         if self.half_span < 1:
             raise TableValidationError("half_span must be >= 1")
@@ -258,10 +253,12 @@ def table_from_time_sim(interferer, victim, filt, half_span, timing_offsets):
     """
     if half_span < 1:
         raise ValueError("half_span must be >= 1")
+    taus = np.asarray(timing_offsets, dtype=int)
+    if taus.size == 0:
+        raise ValueError("timing_offsets must not be empty")
     pulse, t_int, var_int = _interferer_pulse(interferer, filt)
     win, t_vic, _, re_factor, useful = _victim_window(victim, filt)
     ls = np.arange(0, half_span + 1)
-    taus = np.asarray(timing_offsets, dtype=int)
 
     # Interferer symbol s meets victim output v at cross-correlation index
     # len(window) - 1 + tau + v*t_vic - s*t_int, so the sum over all s reads
@@ -307,6 +304,9 @@ def build_all_tables(filt, method=TIME_SIM, num_offsets=400):
     ``7 * i + j``."""
     if num_offsets < 100:
         raise ValueError("num_offsets must be >= 100")
+    if method not in (PSD, TIME_SIM):
+        raise ValueError("unknown table method %r; use %r or %r"
+                         % (method, PSD, TIME_SIM))
     kinds = list(WaveformType)
     if method == PSD:
         return {(a, b): table_from_psd(a, b, filt, DEFAULT_HALF_SPAN)

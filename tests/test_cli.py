@@ -240,11 +240,11 @@ def test_unparsable_config_value_names_key_and_line(capsys, fast_tables,
 
 
 def _config_with(tmp_path, line):
-    """A config file with one more ``key = value`` line, which overrides the
-    saved value and bypasses ScenarioConfig's own validation."""
+    """A 3-iteration config file of the ``key = value`` lines in ``line``,
+    each key once, with every other key at its default; it bypasses
+    ScenarioConfig's own validation."""
     path = tmp_path / "scenario.cfg"
-    d.save_config(d.with_updates(d.ScenarioConfig(), iterations=3), path)
-    path.write_text(path.read_text() + line + "\n")
+    path.write_text("iterations = 3\n" + line + "\n")
     return str(path)
 
 
@@ -349,17 +349,51 @@ def test_validate_rejects_negative_seed(capsys, tmp_path):
     assert "seed" in err
 
 
-@pytest.mark.parametrize("line,argv", [("seed = -1", []),
-                                       ("", ["--seed", "-3"])])
-def test_run_rejects_negative_seed(capsys, fast_tables, campaigns, tmp_path,
-                                   line, argv):
-    path = _config_with(tmp_path, line)
+def test_run_rejects_negative_seed(capsys, fast_tables, campaigns, tmp_path):
+    path = _config_with(tmp_path, "seed = -1")
     out = tmp_path / "out"
-    code, _, err = _run(capsys, ["run", "--config", path, "--out", str(out)]
-                        + argv)
+    code, _, err = _run(capsys, ["run", "--config", path, "--out", str(out)])
     assert code == cli.EXIT_INVARIANT
     assert err.startswith("error:") and len(err.splitlines()) == 1
     assert "seed" in err
+    assert campaigns == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("line", ["max_tx_power = 4000",
+                                  "noise_per_subcarrier = 1e308",
+                                  "cu_min_sinr = 4000",
+                                  "max_tx_power = -4000"])
+def test_run_rejects_db_value_without_linear_value(capsys, fast_tables,
+                                                   campaigns, tmp_path, line):
+    """10^(x/10) overflows a float, or underflows to 0 W: the config fails
+    when it is loaded, not in the campaign."""
+    path = _config_with(tmp_path, line)
+    out = tmp_path / "out"
+    code, stdout, err = _run(capsys, ["run", "--config", path,
+                                      "--out", str(out)])
+    assert code == cli.EXIT_INVARIANT
+    assert stdout == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert line.split(" = ")[0] in err
+    assert campaigns == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_repeated_config_key_exits_4_naming_both_lines(capsys, fast_tables,
+                                                       campaigns, tmp_path,
+                                                       command):
+    path = tmp_path / "c.cfg"
+    path.write_text("".join("seed = %d\n" % s for s in range(1, 10)))
+    out = tmp_path / "out"
+    argv = [command, "--config", str(path)]
+    if command == "run":
+        argv += ["--out", str(out)]
+    code, stdout, err = _run(capsys, argv)
+    assert code == cli.EXIT_INVARIANT
+    assert stdout == ""
+    assert err == "error: %s:2: key 'seed' repeats line 1\n" % path
     assert campaigns == []
     assert not out.exists()
 
@@ -413,6 +447,15 @@ OUT_OF_RANGE = st.one_of(
     _float_field("d2d_max_link_factor", max_value=0.0),
     _int_field("iterations", max_value=0),
     _int_field("seed", max_value=-1),
+    # dB values whose linear value overflows a float or underflows to 0
+    _float_field("cu_min_sinr", min_value=4000.0),
+    _float_field("cu_min_sinr", max_value=-4000.0),
+    _float_field("noise_per_subcarrier", min_value=4000.0),
+    _float_field("noise_per_subcarrier", max_value=-4000.0),
+    _float_field("max_tx_power", min_value=4000.0),
+    _float_field("max_tx_power", max_value=-4000.0),
+    _float_field("cu_tx_power", min_value=4000.0),
+    _float_field("cu_tx_power", max_value=-4000.0),
 )
 
 
@@ -422,8 +465,7 @@ def test_out_of_range_config_value_names_its_field(field_value):
     name, value = field_value
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "c.cfg")
-        d.save_config(d.ScenarioConfig(), path)
-        with open(path, "a") as fh:
+        with open(path, "w") as fh:
             fh.write("%s = %r\n" % (name, value))
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -556,7 +598,7 @@ def test_run_outputs_and_determinism(capsys, config_path, fast_tables, tmp_path)
     out1, out2 = tmp_path / "a", tmp_path / "b"
     for out in (out1, out2):
         code, msg, _ = _run(capsys, ["run", "--config", config_path,
-                                     "--out", str(out), "--seed", "7"])
+                                     "--out", str(out)])
         assert code == cli.EXIT_OK
         assert "3 iterations" in msg
     for name in ("samples.csv", "cdf.csv", "cdf.gp"):
@@ -604,11 +646,14 @@ def test_validate_has_no_tables_option(capsys, config_path, tmp_path):
     assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
-def test_output_dir_env_var(capsys, config_path, fast_tables, tmp_path,
-                            monkeypatch):
-    dest = tmp_path / "envout"
-    monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(dest))
-    code, _, _ = _run(capsys, ["run", "--config", config_path])
+def test_run_without_out_writes_to_current_directory(capsys, config_path,
+                                                     fast_tables, tmp_path,
+                                                     monkeypatch):
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    code, msg, _ = _run(capsys, ["run", "--config", config_path])
     assert code == cli.EXIT_OK
-    assert (dest / "samples.csv").exists()
-    assert os.path.isdir(dest)
+    assert msg.endswith("-> .\n")
+    assert sorted(p.name for p in cwd.iterdir()) == [
+        "cdf.csv", "cdf.gp", "samples.csv"]

@@ -157,7 +157,8 @@ def test_config_file_round_trip(tmp_path):
 @st.composite
 def scenario_configs(draw):
     """Valid configs over every ScenarioConfig field."""
-    finite = st.floats(allow_nan=False, allow_infinity=False)
+    # +/-300 dB(m) converts to a finite, positive linear value
+    db = st.floats(min_value=-300.0, max_value=300.0)
     positive = st.floats(min_value=1e-3, max_value=1e6)
     cell = draw(positive)
     r_max = draw(st.floats(min_value=1e-3, max_value=cell))
@@ -174,9 +175,9 @@ def scenario_configs(draw):
         cluster_radius_max=r_max, cluster_radius_fixed=r_fixed,
         cluster_distance_fixed=draw(
             st.none() | st.floats(min_value=0.0, max_value=cell - radius)),
-        d2d_max_link_factor=draw(positive), cu_min_sinr=draw(finite),
-        noise_per_subcarrier=draw(finite), max_tx_power=draw(finite),
-        cu_tx_power=draw(finite), iterations=draw(st.integers(1, 10 ** 9)),
+        d2d_max_link_factor=draw(positive), cu_min_sinr=draw(db),
+        noise_per_subcarrier=draw(db), max_tx_power=draw(db),
+        cu_tx_power=draw(db), iterations=draw(st.integers(1, 10 ** 9)),
         seed=draw(st.integers(0, 2 ** 63)))
     assert set(values) == {f.name for f in fields(d.ScenarioConfig)}
     try:

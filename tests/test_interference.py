@@ -31,6 +31,11 @@ def make_instance(cfg, tables, seed=11, d2d_kind=FBMC):
 # brute-force oracles (naive triple sums, no kernels)
 # ---------------------------------------------------------------------------
 
+def leak(table, l):
+    """I(l): the table's coefficient at |l|, 0 beyond its half span."""
+    return table.coeffs[abs(l)] if abs(l) <= table.half_span else 0.0
+
+
 def brute_i_cu(j, m, gains, powers, table, smap):
     S = smap.subcarriers_per_rb
     km = smap.rb_of_d2d[j] * S + m
@@ -39,7 +44,7 @@ def brute_i_cu(j, m, gains, powers, table, smap):
         for k in range(S):
             kk = smap.rb_of_cu[i] * S + k
             tot += (gains.h_cu_d2d[i, j] * (powers.p_cu[i] / S)
-                    * table.coeff(abs(km - kk)))
+                    * leak(table, km - kk))
     return tot
 
 
@@ -53,7 +58,7 @@ def brute_i_d2d(j, m, gains, powers, table, smap):
         for n in range(S):
             kn = smap.rb_of_d2d[dd] * S + n
             tot += (gains.h_d2d_d2d[j, dd] * powers.p_d2d[dd, n]
-                    * table.coeff(abs(km - kn)))
+                    * leak(table, km - kn))
     return tot
 
 
@@ -64,7 +69,7 @@ def brute_omega(j, i, gains, powers, table, smap):
         for k in range(S):
             km = smap.rb_of_d2d[j] * S + m
             kk = smap.rb_of_cu[i] * S + k
-            tot += powers.p_d2d[j, m] * table.coeff(abs(kk - km))
+            tot += powers.p_d2d[j, m] * leak(table, kk - km)
     return gains.h_d2d_bs[j] * tot
 
 
@@ -75,8 +80,8 @@ def brute_cost(j, r, gains, powers, table, smap):
         for k in range(S):
             for m in range(S):
                 tot += (gains.h_cu_d2d[i, j] * (powers.p_cu[i] / S)
-                        * table.coeff(abs(r * S + m
-                                          - (smap.rb_of_cu[i] * S + k))))
+                        * leak(table, r * S + m
+                               - (smap.rb_of_cu[i] * S + k)))
     return tot
 
 

@@ -54,7 +54,7 @@ def test_time_sim_matches_receiver_filtered_psd(interferer, victim, filt512,
     full = wf.table_from_time_sim(interferer, victim, filt512, half_span=3,
                                   timing_offsets=range(span))
     for l in range(4):
-        assert full.coeff(l) == pytest.approx(oracle[l], rel=5e-3)
+        assert full.coeffs[l] == pytest.approx(oracle[l], rel=5e-3)
     # the production tables draw 400 random offsets; that only matters for
     # the OFDM interferer, whose seed-to-seed spread at l=1 into an OFDM
     # victim is 3.7% (one standard deviation; 1.7% off at the suite's seed)
@@ -64,7 +64,7 @@ def test_time_sim_matches_receiver_filtered_psd(interferer, victim, filt512,
     else:
         ls, rel = range(2), 0.10
     for l in ls:
-        assert prod.coeff(l) == pytest.approx(oracle[l], rel=rel)
+        assert prod.coeffs[l] == pytest.approx(oracle[l], rel=rel)
 
 
 def loop_time_sim(interferer, victim, filt, half_span, taus):
@@ -215,14 +215,13 @@ def test_waveform_kind_invariants():
 
 def test_psd_ofdm_sidelobes_decay(tables_psd):
     t = tables_psd[(wf.WaveformType.OFDM, wf.WaveformType.OFDM)]
-    vals = [t.coeff(l) for l in range(1, t.half_span + 1)]
+    vals = t.coeffs[1:].tolist()
     assert all(a >= b for a, b in zip(vals, vals[1:]))
 
 
 def test_psd_fbmc_stopband(tables_psd):
     t = tables_psd[(wf.WaveformType.FBMC_OQAM, wf.WaveformType.FBMC_OQAM)]
-    for l in range(2, t.half_span + 1):
-        assert t.coeff(l) < 1e-4 * t.coeff(0)
+    assert np.all(t.coeffs[2:] < 1e-4 * t.coeffs[0])
 
 
 @pytest.mark.parametrize("method", ["psd", "time"])
@@ -235,7 +234,7 @@ def test_tables_conserve_power(method, tables, tables_psd):
 def test_time_sim_aligned_ofdm_delivers_full_power(filt512):
     t = wf.table_from_time_sim(wf.OFDM, wf.OFDM, filt512, half_span=4,
                                timing_offsets=[0])
-    assert t.coeff(0) == pytest.approx(1.0, rel=0.02)
+    assert t.coeffs[0] == pytest.approx(1.0, rel=0.02)
 
 
 def test_time_sim_ofdm_ratio_matches_offset_average_oracle(filt512):
@@ -266,7 +265,7 @@ def test_time_sim_ofdm_ratio_matches_offset_average_oracle(filt512):
     taus = list(range(0, n_int, 7))
     t = wf.table_from_time_sim(wf.OFDM, wf.OFDM, filt512, half_span=2,
                                timing_offsets=taus)
-    assert t.coeff(1) / t.coeff(0) == pytest.approx(oracle_ratio, rel=0.02)
+    assert t.coeffs[1] / t.coeffs[0] == pytest.approx(oracle_ratio, rel=0.02)
 
 
 def test_build_all_tables_draws_offsets_per_pairing(filt):
@@ -288,10 +287,23 @@ def test_build_all_tables_rejects_small_sample(filt):
         wf.build_all_tables(filt, num_offsets=99)
 
 
+def test_build_all_tables_rejects_unknown_method(filt):
+    with pytest.raises(ValueError, match="unknown table method 'psd'"):
+        wf.build_all_tables(filt, method="psd")
+
+
+def test_time_sim_rejects_empty_offsets(filt):
+    with pytest.raises(ValueError, match="timing_offsets must not be empty"):
+        wf.table_from_time_sim(wf.OFDM, wf.FBMC, filt, half_span=2,
+                               timing_offsets=[])
+
+
 def test_table_symmetry(tables, tables_psd):
+    """The kernels read I(-l) = I(l): swapping interferer and victim
+    subcarrier mirrors the RB offset."""
     for t in list(tables.values()) + list(tables_psd.values()):
-        for l in range(1, t.half_span + 1):
-            assert abs(t.coeff(l) - t.coeff(-l)) < 1e-9
+        sub = t.band_kernels(4, 12).sub
+        assert np.array_equal(sub, sub[::-1].transpose(0, 2, 1))
 
 
 def test_fbmc_vs_ofdm_localization(tables):
@@ -299,12 +311,12 @@ def test_fbmc_vs_ofdm_localization(tables):
     sidelobes spread across the whole span."""
     fb = tables[(wf.WaveformType.FBMC_OQAM, wf.WaveformType.FBMC_OQAM)]
     of = tables[(wf.WaveformType.OFDM, wf.WaveformType.OFDM)]
-    fb_far = sum(fb.coeff(l) for l in range(2, fb.half_span + 1))
-    of_far = sum(of.coeff(l) for l in range(2, of.half_span + 1))
+    fb_far = fb.coeffs[2:].sum()
+    of_far = of.coeffs[2:].sum()
     assert fb_far < 1e-3 * of_far
     # cross table only slightly below the OFDM-only adjacent leakage
     cross = tables[(wf.WaveformType.OFDM, wf.WaveformType.FBMC_OQAM)]
-    ratio = cross.coeff(1) / of.coeff(1)
+    ratio = cross.coeffs[1] / of.coeffs[1]
     assert 0.3 <= ratio <= 1.0
 
 
@@ -317,7 +329,7 @@ def test_band_kernels_match_direct_sum(tables):
         for m in range(S):
             for k in range(S):
                 assert kern.sub[idx, m, k] == pytest.approx(
-                    t.coeff(abs(S * d_rb + k - m)), abs=0)
+                    t.coeffs[abs(S * d_rb + k - m)], abs=0)
     assert np.allclose(kern.by_interferer, kern.sub.sum(axis=2))
     assert np.allclose(kern.by_victim, kern.sub.sum(axis=1))
     assert np.allclose(kern.band, kern.sub.sum(axis=(1, 2)))
