@@ -31,7 +31,7 @@ from .allocation import (
     KKT_TOLERANCE,
 )
 from .simulation import (
-    Case, SweepParameter, IterationResult, RateReport, EmptyReportError,
+    Case, SweepParameter, CampaignRecord, RateReport, EmptyReportError,
     rate_from_sinr, run_iteration, run_campaign, sweep, build_report,
     write_samples_csv, write_cdf_csv, write_sweep_csv,
     write_gnuplot_cdf, write_gnuplot_sweep,

@@ -65,12 +65,10 @@ def pathloss_db(d, fc, los):
 
 
 def _link_gain(dist, fc, u):
-    """Gains and LOS states of links at ``dist``; a link is LOS when its
-    uniform draw ``u`` falls below its LOS probability."""
+    """Gains of links at ``dist``; a link is LOS when its uniform draw ``u``
+    falls below its LOS probability."""
     d = np.maximum(dist, MIN_DISTANCE)
-    los = u < los_probability(d)
-    gain = 10.0 ** (-pathloss_db(d, fc, los) / 10.0)
-    return gain, los
+    return 10.0 ** (-pathloss_db(d, fc, u < los_probability(d)) / 10.0)
 
 
 def gains_from_placement(placement, config, rng):
@@ -100,7 +98,7 @@ def gains_from_placement(placement, config, rng):
     dist = np.concatenate([d.reshape(lead + (-1,)) for d in groups], axis=-1)
     u = np.stack([r.uniform(size=dist.shape[-1])
                   for r in (rng if lead else [rng])]).reshape(dist.shape)
-    gain, _ = _link_gain(dist, config.carrier_freq, u)
+    gain = _link_gain(dist, config.carrier_freq, u)
     h, start = [], 0
     for d in groups:
         end = start + math.prod(d.shape[len(lead):])

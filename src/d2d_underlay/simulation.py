@@ -13,8 +13,8 @@ on its block-mates, so a report is the same for any ``jobs``.
 """
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, replace
+from collections import namedtuple
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 
 import numpy as np
@@ -55,22 +55,27 @@ class SweepParameter(Enum):
 _COLUMNS = [(c, v) for c in Case for v in ("actual", "predicted")]
 
 
-@dataclass
-class IterationResult:
-    case: Case
-    rate_predicted: float       # bit/s, averaged over pairs
-    rate_actual: float          # bit/s, averaged over pairs
-    cluster_radius: float
-    cluster_distance: float
-    num_pairs: int
-    status: al.SolverStatus     # outcome of the case's power-loading solve
-    newton_steps: int
-    kkt_residual: float
+@dataclass(eq=False)
+class CampaignRecord:
+    """A campaign's results, one row per snapshot; each per-case column is
+    ``(snapshots, 2)``, in ``Case`` order."""
+
+    rate_predicted: np.ndarray  # bit/s, averaged over pairs
+    rate_actual: np.ndarray     # bit/s, averaged over pairs
+    status: np.ndarray          # al.SolverStatus of each case's solve
+    newton_steps: np.ndarray
+    kkt_residual: np.ndarray
+    cluster_radius: np.ndarray  # (snapshots,); NaN unless clustered
+    cluster_distance: np.ndarray
 
     @property
     def feasible(self):
         """Every solve but a skipped one (negative CU headroom) counts."""
-        return self.status is not al.SolverStatus.INFEASIBLE_SKIPPED
+        return self.status != al.SolverStatus.INFEASIBLE_SKIPPED
+
+
+Sample = namedtuple("Sample", "case rate_predicted rate_actual feasible "
+                    "cluster_radius cluster_distance num_pairs")
 
 
 @dataclass
@@ -82,8 +87,19 @@ class RateReport:
     cdf_grid: np.ndarray
     cdf: dict                   # (Case, "actual"|"predicted") -> values
     summary: dict               # (Case, variant, stat) -> float
-    solver_status: dict         # SolverStatus -> number of cases
-    results: list               # (iteration, IterationResult)
+    record: CampaignRecord
+    num_pairs: int
+
+    @property
+    def results(self):
+        """samples.csv's ``(iteration, Sample)`` rows; each field is read in
+        one ``tolist()`` from the record column of its name."""
+        rows = zip(*(getattr(self.record, name).tolist()
+                     for name in Sample._fields[1:-1]))
+        return [(it, Sample(case, predicted[k], actual[k], feasible[k],
+                            radius, distance, self.num_pairs))
+                for it, (predicted, actual, feasible, radius, distance)
+                in enumerate(rows) for k, case in enumerate(Case)]
 
 
 def rate_from_sinr(sinr, subcarrier_spacing):
@@ -91,25 +107,29 @@ def rate_from_sinr(sinr, subcarrier_spacing):
     return subcarrier_spacing * np.log2(1.0 + np.asarray(sinr, dtype=float))
 
 
-def _case_rates(gains, block_map, solves, tables, config, kind):
-    """Actual and predicted rates, bit/s, of every snapshot of a block in one
-    case: each pair's rate summed over its subcarriers, averaged over pairs.
-    ``solves`` holds the case's (assignment, power-loading result) pairs; a
-    skipped snapshot's zero powers give it rates of exactly 0."""
+def _case_columns(gains, block_map, solves, tables, config, kind):
+    """One case's per-case ``CampaignRecord`` columns over a block: the
+    predicted and actual rates, bit/s, each pair's rate summed over its
+    subcarriers and averaged over pairs, then each solve's status, Newton
+    steps and KKT residual.  A skipped snapshot's zero powers give it rates
+    of exactly 0."""
     powers = itf.PowerAllocation(
         p_d2d=np.stack([res.powers.p_d2d for _, res in solves]),
         p_cu=itf.uniform_cu_powers(config))
     smap = replace(
         block_map, rb_of_d2d=np.stack([a.rb_of_pair for a, _ in solves]))
-    sinr = itf.d2d_sinr_matrices(
-        gains, powers, tables, smap, config.noise_per_subcarrier_w, kind)
-    return [rate_from_sinr(x, config.subcarrier_spacing).sum(axis=-1)
-            .mean(axis=-1) for x in sinr]
+    actual, predicted = (
+        rate_from_sinr(x, config.subcarrier_spacing).sum(axis=-1).mean(axis=-1)
+        for x in itf.d2d_sinr_matrices(gains, powers, tables, smap,
+                                       config.noise_per_subcarrier_w, kind))
+    return [predicted, actual] + [
+        np.array([getattr(res, name) for _, res in solves])
+        for name in ("status", "iterations_used", "kkt_residual")]
 
 
 def run_iteration(config, tables, streams):
     """One block of snapshots, one per seed stream, both waveform cases of
-    each; returns one two-element list per snapshot.  A case whose power
+    each; returns the block's ``CampaignRecord``.  A case whose power
     loading is skipped (negative CU headroom) is infeasible and has zero
     rates.
 
@@ -143,23 +163,15 @@ def run_iteration(config, tables, streams):
             done.append((assignment, al.power_loading(
                 assignment, snapshot, tables, smap, config, case.waveform)))
 
-    clusters = [(p.cluster_radius, float(np.linalg.norm(p.cluster_centre)))
-                if p.cluster_centre is not None else (np.nan, np.nan)
-                for p in placements]
-    out = [[] for _ in placements]
-    for case, done in zip(Case, solves):
-        actual, predicted = _case_rates(gains, block_map, done, tables,
-                                        config, case.waveform)
-        for k, (radius, distance) in enumerate(clusters):
-            res = done[k][1]
-            out[k].append(IterationResult(
-                case=case, rate_predicted=float(predicted[k]),
-                rate_actual=float(actual[k]),
-                cluster_radius=radius, cluster_distance=distance,
-                num_pairs=config.num_d2d_pairs, status=res.status,
-                newton_steps=res.iterations_used,
-                kkt_residual=res.kkt_residual))
-    return out
+    radius, distance = np.array(
+        [(p.cluster_radius, float(np.linalg.norm(p.cluster_centre)))
+         if p.cluster_centre is not None else (np.nan, np.nan)
+         for p in placements]).T
+    columns = zip(*(
+        _case_columns(gains, block_map, done, tables, config, case.waveform)
+        for case, done in zip(Case, solves)))
+    return CampaignRecord(*(np.stack(c, axis=1) for c in columns),
+                          radius, distance)
 
 
 def run_campaign(config, tables, jobs=0):
@@ -182,35 +194,26 @@ def run_campaign(config, tables, jobs=0):
                                  [tables] * len(blocks), blocks))
     else:
         done = [run_iteration(config, tables, block) for block in blocks]
-    results = [(it, r) for it, pair
-               in enumerate(itertools.chain.from_iterable(done)) for r in pair]
-    return build_report(results, config.iterations)
+    return build_report(CampaignRecord(
+        *(np.concatenate([getattr(r, f.name) for r in done])
+          for f in fields(CampaignRecord))), config.num_d2d_pairs)
 
 
-def build_report(results, iterations):
-    """Report of ``(iteration, IterationResult)`` pairs, one per case for
-    each iteration in ``range(iterations)``.  The CU headroom does not depend
-    on the waveform, so ``run_iteration`` skips a snapshot in both cases or
-    in neither; a list that breaks either rule raises ``ValueError``."""
-    series = {key: [] for key in _COLUMNS}
-    feasible = {(it, case): [] for it in range(iterations) for case in Case}
-    solver_status = {status: 0 for status in al.SolverStatus}
-    for it, r in results:
-        feasible.setdefault((it, r.case), []).append(r.feasible)
-        solver_status[r.status] += 1
-        if r.feasible:
-            series[(r.case, "actual")].append(r.rate_actual)
-            series[(r.case, "predicted")].append(r.rate_predicted)
-    for (it, case), flags in feasible.items():
-        if len(flags) != 1 or not 0 <= it < iterations:
-            raise ValueError("iteration %d has %d %s results; a report needs "
-                             "one per case for each iteration in 0..%d"
-                             % (it, len(flags), case.value, iterations - 1))
-        if flags != feasible[(it, Case.D2D_OFDM)]:
-            raise ValueError("snapshot %d must be skipped in both cases or "
-                             "in neither" % it)
-    # equal skip sets leave equal lengths: one sorted (series, samples) array
-    samples = np.sort(np.array(list(series.values())), axis=1)
+def build_report(record, num_pairs):
+    """Report of a campaign record of ``num_pairs`` pairs.  The CU headroom
+    does not depend on the waveform, so a snapshot is skipped in both cases
+    or in neither; a ``ValueError`` names the first snapshot that splits."""
+    feasible = record.feasible
+    split = np.flatnonzero(feasible[:, 0] != feasible[:, 1])
+    if split.size:
+        raise ValueError("snapshot %d must be skipped in both cases or in "
+                         "neither" % split[0])
+    keep = feasible[:, 0]
+    iterations = len(keep)
+    # one sorted (series, samples) array, its rows in _COLUMNS order
+    samples = np.sort(np.stack(
+        (record.rate_actual[keep].T, record.rate_predicted[keep].T),
+        axis=1).reshape(len(_COLUMNS), -1), axis=1)
     n = samples.shape[1]
     if n == 0:
         raise EmptyReportError("all %d iterations were infeasible" % iterations)
@@ -230,7 +233,7 @@ def build_report(results, iterations):
             summary[key + (stat,)] = float(values[row])
     return RateReport(iterations=iterations, skipped=iterations - n,
                       cdf_grid=grid, cdf=cdf, summary=summary,
-                      solver_status=solver_status, results=results)
+                      record=record, num_pairs=num_pairs)
 
 
 def sweep_configs(config, parameter, values):
@@ -269,13 +272,10 @@ def sweep(config, parameter, values, tables, jobs=0):
 # ---------------------------------------------------------------------------
 
 def write_samples_csv(report, path):
-    rows = ["iteration,case,rate_predicted,rate_actual,feasible,"
-            "cluster_radius,cluster_distance,num_pairs"]
+    rows = ["iteration," + ",".join(Sample._fields)]
     for it, r in report.results:
         rows.append("%d,%s,%.9g,%.9g,%d,%.9g,%.9g,%d"
-                    % (it, r.case.value, r.rate_predicted, r.rate_actual,
-                       r.feasible, r.cluster_radius, r.cluster_distance,
-                       r.num_pairs))
+                    % ((it, r.case.value) + r[1:]))
     atomic_write(path, "\n".join(rows) + "\n")
 
 

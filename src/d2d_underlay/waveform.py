@@ -256,6 +256,8 @@ def table_from_time_sim(interferer, victim, filt, half_span, timing_offsets):
     taus = np.asarray(timing_offsets, dtype=int)
     if taus.size == 0:
         raise ValueError("timing_offsets must not be empty")
+    if not np.array_equal(taus, np.asarray(timing_offsets)):
+        raise ValueError("timing_offsets must be integer samples")
     pulse, t_int, var_int = _interferer_pulse(interferer, filt)
     win, t_vic, _, re_factor, useful = _victim_window(victim, filt)
     ls = np.arange(0, half_span + 1)

@@ -68,9 +68,16 @@ def test_gains_determinism(rng):
 
 
 def test_los_fraction_matches_probability(rng):
+    """At one distance a link's gain takes its LOS value (a draw of 0 is
+    always LOS) or its NLOS value (a draw of 1 never is), and the LOS share
+    matches the LOS probability."""
     dist = np.full(10_000, 50.0)
-    _, los = ch._link_gain(dist, 700e6, rng.uniform(size=dist.shape))
-    assert los.mean() == pytest.approx(d.los_probability(50.0), abs=0.02)
+    gain = ch._link_gain(dist, 700e6, rng.uniform(size=dist.shape))
+    los, nlos = (ch._link_gain(dist[:1], 700e6, np.array([u]))[0]
+                 for u in (0.0, 1.0))
+    assert set(np.unique(gain)) == {los, nlos}
+    assert np.mean(gain == los) == pytest.approx(d.los_probability(50.0),
+                                                 abs=0.02)
 
 
 def loop_gains(placement, config, rng):
@@ -81,7 +88,7 @@ def loop_gains(placement, config, rng):
               np.linalg.norm(cu[:, None, :] - rx[None, :, :], axis=2),
               np.linalg.norm(tx[None, :, :] - rx[:, None, :], axis=2))
     return [ch._link_gain(dist, config.carrier_freq,
-                          rng.uniform(size=dist.shape))[0] for dist in groups]
+                          rng.uniform(size=dist.shape)) for dist in groups]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 17])

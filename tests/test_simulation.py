@@ -19,36 +19,58 @@ def test_rate_from_sinr_values():
     assert d.rate_from_sinr(3.0, 15e3) == pytest.approx(30e3)
 
 
+# the CampaignRecord columns that hold one value per snapshot and case
+CASE_COLUMNS = ("rate_predicted", "rate_actual", "status", "newton_steps",
+                "kkt_residual")
+
+
+def assert_records_equal(a, b):
+    for f in dataclasses.fields(sim.CampaignRecord):
+        np.testing.assert_array_equal(getattr(a, f.name), getattr(b, f.name))
+
+
+def rows(record, index):
+    """The rows of ``record`` at ``index``, as a record."""
+    return sim.CampaignRecord(*(getattr(record, f.name)[index]
+                                for f in dataclasses.fields(record)))
+
+
+def changed(a, b):
+    """Per snapshot and case, whether any of its CASE_COLUMNS differs
+    between records ``a`` and ``b``."""
+    return np.any([getattr(a, name) != getattr(b, name)
+                   for name in CASE_COLUMNS], axis=0)
+
+
 def test_single_pair_no_gap(tables):
     cfg = d.with_updates(d.ScenarioConfig(), num_d2d_pairs=1)
-    [results] = d.run_iteration(cfg, tables, [np.random.SeedSequence(4)])
-    assert len(results) == 2
-    for r in results:
-        assert r.feasible
-        assert r.rate_actual == pytest.approx(r.rate_predicted, rel=1e-12)
+    record = d.run_iteration(cfg, tables, [np.random.SeedSequence(4)])
+    assert record.rate_actual.shape == (1, 2)
+    assert record.feasible.all()
+    np.testing.assert_allclose(record.rate_actual, record.rate_predicted,
+                               rtol=1e-12, atol=0)
 
 
 def test_iteration_paired_and_dominated(tables):
+    """One snapshot gives one row: a value per case in each per-case column,
+    and one cluster radius and distance that both cases share."""
     cfg = d.ScenarioConfig()
-    [results] = d.run_iteration(cfg, tables, [np.random.SeedSequence(4)])
-    cases = {r.case for r in results}
-    assert cases == {sim.Case.D2D_OFDM, sim.Case.D2D_FBMC}
-    for r in results:
-        assert 0.0 <= r.rate_actual <= r.rate_predicted + 1e-9
-        assert r.num_pairs == cfg.num_d2d_pairs
-    # both cases annotate the same snapshot
-    r0, r1 = results
-    assert r0.cluster_radius == r1.cluster_radius
-    assert r0.cluster_distance == r1.cluster_distance
+    record = d.run_iteration(cfg, tables, [np.random.SeedSequence(4)])
+    for name in CASE_COLUMNS:
+        assert getattr(record, name).shape == (1, len(sim.Case))
+    assert record.cluster_radius.shape == record.cluster_distance.shape \
+        == (1,)
+    assert np.all(0.0 <= record.rate_actual)
+    assert np.all(record.rate_actual <= record.rate_predicted + 1e-9)
 
 
 def test_campaign_basics(tables):
     cfg = d.with_updates(d.ScenarioConfig(), iterations=5)
     rep = d.run_campaign(cfg, tables)
     assert rep.iterations == 5
+    assert np.array_equal(rep.record.feasible.sum(axis=0),
+                          [5 - rep.skipped] * 2)
     for c in sim.Case:
-        assert sum(r.feasible for _, r in rep.results
-                   if r.case is c) == 5 - rep.skipped
         cdf = rep.cdf[(c, "actual")]
         assert np.all(np.diff(cdf) >= 0)
         assert cdf[-1] == pytest.approx(1.0)
@@ -65,11 +87,11 @@ def test_report_statistics_match_numpy_per_series(tables):
                          seed=0)
     rep = d.run_campaign(cfg, tables)
     assert rep.skipped == 53
-    for c in sim.Case:
+    for k, c in enumerate(sim.Case):
         for variant, field in (("actual", "rate_actual"),
                                ("predicted", "rate_predicted")):
-            series = np.sort([getattr(r, field) for _, r in rep.results
-                              if r.case is c and r.feasible])
+            column = getattr(rep.record, field)
+            series = np.sort(column[rep.record.feasible[:, k], k])
             assert len(series) == 60 - 53
             stat = {name: rep.summary[(c, variant, name)]
                     for name in ("mean", "median", "p5", "p95")}
@@ -92,14 +114,12 @@ def test_equal_tables_make_the_cases_identical(tables, layout):
     one = tables[(d.WaveformType.OFDM, d.WaveformType.OFDM)]
     same = {key: one for key in tables}
     cfg = d.with_updates(d.ScenarioConfig(), iterations=40, layout=layout)
-    rep = d.run_campaign(cfg, same)
-    fields = ("rate_predicted", "rate_actual", "feasible", "status",
-              "newton_steps", "kkt_residual")
-    by_case = {c: [tuple(getattr(r, f) for f in fields)
-                   for _, r in rep.results if r.case is c] for c in sim.Case}
-    assert len(by_case[sim.Case.D2D_OFDM]) == cfg.iterations
-    assert by_case[sim.Case.D2D_OFDM] == by_case[sim.Case.D2D_FBMC]
-    assert any(feasible for _, _, feasible, *_ in by_case[sim.Case.D2D_OFDM])
+    record = d.run_campaign(cfg, same).record
+    assert record.status.shape == (cfg.iterations, 2)
+    for name in CASE_COLUMNS:
+        column = getattr(record, name)
+        assert np.array_equal(column[:, 0], column[:, 1])
+    assert record.feasible.any()
 
 
 # the config fields that a common dB shift moves together
@@ -111,11 +131,10 @@ READERS = {(OFDM, OFDM): sim.Case.D2D_OFDM, (OFDM, FBMC): sim.Case.D2D_FBMC,
 
 
 def small_campaign(tables, layout, **updates):
-    """Every (iteration, result) pair of a 40-snapshot campaign of 4 pairs
-    on 6 RBs."""
+    """The record of a 40-snapshot campaign of 4 pairs on 6 RBs."""
     cfg = d.with_updates(d.ScenarioConfig(), num_rbs=6, num_d2d_pairs=4,
                          iterations=40, layout=layout, **updates)
-    return d.run_campaign(cfg, tables).results
+    return d.run_campaign(cfg, tables).record
 
 
 @pytest.mark.parametrize("layout", list(d.Layout))
@@ -129,17 +148,16 @@ def test_a_common_power_shift_leaves_the_campaign_unchanged(tables, layout):
     base_cfg = d.ScenarioConfig()
     for cu_min_sinr, skips, rtol in ((10.0, 0, 1e-12), (47.0, 22, 1e-10)):
         base = small_campaign(tables, layout, cu_min_sinr=cu_min_sinr)
-        flags = [r.feasible for _, r in base]
-        assert flags.count(False) == 2 * skips
-        rates = [(r.rate_actual, r.rate_predicted) for _, r in base]
+        assert np.count_nonzero(~base.feasible) == 2 * skips
         for shift in (10.0, -17.0):
             moved = {name: getattr(base_cfg, name) + shift for name in POWERS}
-            results = small_campaign(tables, layout, cu_min_sinr=cu_min_sinr,
-                                     **moved)
-            assert [r.feasible for _, r in results] == flags
-            np.testing.assert_allclose(
-                [(r.rate_actual, r.rate_predicted) for _, r in results],
-                rates, rtol=rtol, atol=0)
+            record = small_campaign(tables, layout, cu_min_sinr=cu_min_sinr,
+                                    **moved)
+            assert np.array_equal(record.feasible, base.feasible)
+            for name in ("rate_actual", "rate_predicted"):
+                np.testing.assert_allclose(getattr(record, name),
+                                           getattr(base, name),
+                                           rtol=rtol, atol=0)
 
 
 def zeroed(tables, key):
@@ -156,19 +174,15 @@ def test_a_zeroed_table_changes_only_the_case_that_reads_it(tables, layout):
     reads it and no result of the other.  Zeroing a case's D2D->D2D table
     removes its inter-D2D interference, so its actual rate equals its
     predicted rate exactly."""
-    def outcome(r):
-        return (r.rate_actual, r.rate_predicted, r.status, r.newton_steps,
-                r.kkt_residual)
-
     base = small_campaign(tables, layout)
     for key, reader in READERS.items():
-        results = small_campaign(zeroed(tables, key), layout)
-        changed = [r.case for (_, r), (_, b) in zip(results, base)
-                   if outcome(r) != outcome(b)]
-        assert changed == [reader] * 40
+        k = list(sim.Case).index(reader)
+        record = small_campaign(zeroed(tables, key), layout)
+        diff = changed(record, base)
+        assert diff[:, k].all() and not diff[:, 1 - k].any()
         if key[0] is key[1]:
-            assert all(r.rate_actual == r.rate_predicted
-                       for _, r in results if r.case is reader)
+            assert np.array_equal(record.rate_actual[:, k],
+                                  record.rate_predicted[:, k])
 
 
 @st.composite
@@ -196,99 +210,78 @@ def test_relations_hold_on_small_configs(tables, cfg):
     reads it for CU-into-D2D leakage, and, for a D2D->D2D table, makes the
     reading case's actual rate equal its predicted rate."""
 
-    def outcomes(tabs, config=cfg):
-        return [(r.case, (r.rate_actual, r.rate_predicted, r.feasible,
-                          r.status, r.newton_steps, r.kkt_residual))
-                for _, r in d.run_campaign(config, tabs).results]
+    def record(tabs, config=cfg):
+        return d.run_campaign(config, tabs).record
 
-    base = outcomes(tables)
+    base = record(tables)
     for shift in (10.0, -17.0):
-        moved = outcomes(tables, d.with_updates(
+        moved = record(tables, d.with_updates(
             cfg, **{name: getattr(cfg, name) + shift for name in POWERS}))
-        assert [o[2] for _, o in moved] == [o[2] for _, o in base]
-        np.testing.assert_allclose([o[:2] for _, o in moved],
-                                   [o[:2] for _, o in base], rtol=1e-12, atol=0)
+        assert np.array_equal(moved.feasible, base.feasible)
+        for name in ("rate_actual", "rate_predicted"):
+            np.testing.assert_allclose(getattr(moved, name),
+                                       getattr(base, name), rtol=1e-12, atol=0)
 
-    same = outcomes({key: tables[(OFDM, OFDM)] for key in tables})
-    assert [o for c, o in same if c is sim.Case.D2D_OFDM] \
-        == [o for c, o in same if c is sim.Case.D2D_FBMC]
+    same = record({key: tables[(OFDM, OFDM)] for key in tables})
+    for name in CASE_COLUMNS:
+        column = getattr(same, name)
+        assert np.array_equal(column[:, 0], column[:, 1])
 
     for key, reader in READERS.items():
-        results = outcomes(zeroed(tables, key))
-        for (case, o), (_, b) in zip(results, base):
-            if case is not reader:
-                assert o == b
-            elif key[0] is OFDM and b[2]:
-                assert o != b
-            if case is reader and key[0] is key[1]:
-                assert o[0] == o[1]
+        k = list(sim.Case).index(reader)
+        zero = record(zeroed(tables, key))
+        diff = changed(zero, base)
+        assert not diff[:, 1 - k].any()
+        if key[0] is OFDM:
+            assert diff[base.feasible[:, k], k].all()
+        if key[0] is key[1]:
+            assert np.array_equal(zero.rate_actual[:, k],
+                                  zero.rate_predicted[:, k])
 
 
-def skipped(result):
-    return dataclasses.replace(result,
-                               status=al.SolverStatus.INFEASIBLE_SKIPPED)
+def skipped(record, *rows_and_cases):
+    """``record`` with the solves at the given (snapshot, case) indices
+    marked skipped."""
+    status = record.status.copy()
+    for index in rows_and_cases:
+        status[index] = al.SolverStatus.INFEASIBLE_SKIPPED
+    return dataclasses.replace(record, status=status)
 
 
 def test_report_rejects_a_snapshot_skipped_in_one_case_only(tables):
     cfg = d.with_updates(d.ScenarioConfig(), iterations=2)
-    rep = d.run_campaign(cfg, tables)
-    [(it, first), *rest] = rep.results
-    assert first.feasible
-    one_case_only = [(it, skipped(first))] + rest
-    with pytest.raises(ValueError, match="both cases or in neither"):
-        sim.build_report(one_case_only, cfg.iterations)
+    record = d.run_campaign(cfg, tables).record
+    assert record.feasible.all()
+    with pytest.raises(ValueError,
+                       match="snapshot 1 must be skipped in both cases or in "
+                             "neither"):
+        sim.build_report(skipped(record, (1, 1)), cfg.num_d2d_pairs)
 
 
 def test_report_rejects_snapshots_skipped_in_opposite_cases(tables):
     """Snapshot 0 skipped in OFDM only and snapshot 1 in FBMC only leave one
     sample in every series, so only a per-snapshot check sees the split."""
     cfg = d.with_updates(d.ScenarioConfig(), iterations=2)
-    rep = d.run_campaign(cfg, tables)
-    (i0, ofdm0), (_, fbmc0), (i1, ofdm1), (_, fbmc1) = rep.results
-    assert all(r.feasible for _, r in rep.results)
-    assert ofdm0.case is ofdm1.case is sim.Case.D2D_OFDM
-    opposite = [(i0, skipped(ofdm0)), (i0, fbmc0),
-                (i1, ofdm1), (i1, skipped(fbmc1))]
-    with pytest.raises(ValueError, match="both cases or in neither"):
-        sim.build_report(opposite, cfg.iterations)
-
-
-def test_report_needs_one_result_per_case_for_every_iteration(tables):
-    """A list that drops a case's result, repeats one in place of another,
-    or carries one beyond the last iteration fails, naming the iteration
-    and the case; the same results in any order give the same report."""
-    cfg = d.with_updates(d.ScenarioConfig(), iterations=4)
-    rep = d.run_campaign(cfg, tables)
-    results = rep.results
-    assert [(it, r.case) for it, r in results] == [
-        (it, case) for it in range(4) for case in sim.Case]
-    missing = results[:-1]
-    repeated = results[:6] + [results[4]] + results[7:]
-    beyond = results + [(4, results[-1][1])]
-    for bad, match in ((missing, "iteration 3 has 0 D2D_FBMC"),
-                       (repeated, "iteration 2 has 2 D2D_OFDM"),
-                       (beyond, "iteration 4 has 1 D2D_FBMC")):
-        with pytest.raises(ValueError, match=match):
-            sim.build_report(bad, cfg.iterations)
-    shuffled = sim.build_report(results[::-1], cfg.iterations)
-    assert shuffled.summary == rep.summary
-    assert shuffled.skipped == rep.skipped
+    record = d.run_campaign(cfg, tables).record
+    assert record.feasible.all()
+    with pytest.raises(ValueError, match="snapshot 0 must be skipped in both "
+                                         "cases or in neither"):
+        sim.build_report(skipped(record, (0, 0), (1, 1)), cfg.num_d2d_pairs)
 
 
 def test_campaign_determinism(tables):
     cfg = d.with_updates(d.ScenarioConfig(), iterations=4)
     a = d.run_campaign(cfg, tables)
     b = d.run_campaign(cfg, tables)
-    assert a.results == b.results
+    assert_records_equal(a.record, b.record)
     assert a.summary == b.summary
 
 
 def test_campaign_single_iteration(tables):
     cfg = d.with_updates(d.ScenarioConfig(), iterations=1)
     rep = d.run_campaign(cfg, tables)
-    for c in sim.Case:
-        assert sum(r.feasible for _, r in rep.results
-                   if r.case is c) + rep.skipped == 1
+    assert np.array_equal(rep.record.feasible.sum(axis=0) + rep.skipped,
+                          [1, 1])
 
 
 def test_campaign_all_infeasible_raises(tables):
@@ -301,7 +294,7 @@ def test_campaign_parallel_matches_sequential(tables):
     cfg = d.with_updates(d.ScenarioConfig(), iterations=6)
     a = d.run_campaign(cfg, tables)
     b = d.run_campaign(cfg, tables, jobs=2)
-    assert a.results == b.results
+    assert_records_equal(a.record, b.record)
     assert a.summary == b.summary
 
 
@@ -322,23 +315,23 @@ def test_blocks_independent_of_jobs_and_block_mates(tmp_path, tables):
         d.write_samples_csv(pooled, tmp_path / "pooled.csv")
         assert (tmp_path / "seq.csv").read_bytes() == \
             (tmp_path / "pooled.csv").read_bytes()
-        assert seq.results == pooled.results
+        assert_records_equal(seq.record, pooled.record)
         streams = np.random.SeedSequence(cfg.seed).spawn(cfg.iterations)
         for it, stream in enumerate(streams):
-            [alone] = d.run_iteration(cfg, tables, [stream])
-            assert [r for i, r in seq.results if i == it] == alone
+            alone = d.run_iteration(cfg, tables, [stream])
+            assert_records_equal(rows(seq.record, [it]), alone)
         if num_pairs == 1:
-            assert all(r.rate_actual == r.rate_predicted
-                       for _, r in seq.results)
+            assert np.array_equal(seq.record.rate_actual,
+                                  seq.record.rate_predicted)
 
 
 def test_report_counts_max_iter_apart(tables, monkeypatch):
-    """Each case result carries its solve's status, Newton steps and KKT
-    residual, and the report counts every status, so a MAX_ITER solve is
-    not mistaken for an OPTIMAL one.  With the Newton steps bounded at 5,
-    this campaign (11 pairs, seed 951026653) ends some solves OPTIMAL and
-    some MAX_ITER; the counts must match what a recorder on
-    ``al.power_loading`` sees."""
+    """The record holds each solve's status, Newton steps and KKT residual,
+    so a MAX_ITER solve is not mistaken for an OPTIMAL one.  With the Newton
+    steps bounded at 5, this campaign (11 pairs, seed 951026653) ends some
+    solves OPTIMAL and some MAX_ITER; the columns, snapshot by snapshot in
+    ``Case`` order, must match what a recorder on ``al.power_loading``
+    sees."""
     solves = []
     power_loading = al.power_loading
 
@@ -350,16 +343,15 @@ def test_report_counts_max_iter_apart(tables, monkeypatch):
     monkeypatch.setattr(al, "MAX_NEWTON_STEPS", 5)
     cfg = d.with_updates(d.ScenarioConfig(), num_d2d_pairs=11,
                          seed=951026653, iterations=8)
-    rep = d.run_campaign(cfg, tables)
-    assert [(r.status, r.newton_steps, r.kkt_residual)
-            for _, r in rep.results] == \
-        [(s.status, s.iterations_used, s.kkt_residual) for s in solves]
-    for status in al.SolverStatus:
-        assert rep.solver_status[status] == sum(s.status is status
-                                                for s in solves)
-    assert sum(rep.solver_status.values()) == 2 * cfg.iterations
-    assert rep.solver_status[al.SolverStatus.OPTIMAL] > 0
-    assert rep.solver_status[al.SolverStatus.MAX_ITER] > 0
+    record = d.run_campaign(cfg, tables).record
+    assert len(solves) == 2 * cfg.iterations
+    assert record.status.ravel().tolist() == [s.status for s in solves]
+    assert record.newton_steps.ravel().tolist() == \
+        [s.iterations_used for s in solves]
+    assert record.kkt_residual.ravel().tolist() == \
+        [s.kkt_residual for s in solves]
+    assert al.SolverStatus.OPTIMAL in record.status
+    assert al.SolverStatus.MAX_ITER in record.status
 
 
 def test_campaign_rejects_negative_jobs(tables):
@@ -426,23 +418,50 @@ def test_output_files(tmp_path, tables):
     assert "sweep.csv" in gp2.read_text()
 
 
+@pytest.mark.parametrize("layout", list(d.Layout))
+def test_results_view_matches_record_and_samples_csv(tmp_path, tables,
+                                                     layout):
+    """``report.results`` lists the record's rows, snapshot by snapshot in
+    ``Case`` order, and samples.csv holds those rows as the record's
+    columns give them.  A 47 dB CU floor skips some of the 17 snapshots,
+    so the feasible flags are not all alike."""
+    cfg = d.with_updates(d.ScenarioConfig(), iterations=17, cu_min_sinr=47.0,
+                         layout=layout)
+    rep = d.run_campaign(cfg, tables)
+    assert 0 < rep.skipped < cfg.iterations
+    rec = rep.record
+    expected = [(it, sim.Sample(
+        case, rec.rate_predicted[it, k], rec.rate_actual[it, k],
+        rec.feasible[it, k], rec.cluster_radius[it], rec.cluster_distance[it],
+        cfg.num_d2d_pairs)) for it in range(cfg.iterations)
+        for k, case in enumerate(sim.Case)]
+    np.testing.assert_equal(rep.results, expected)
+
+    d.write_samples_csv(rep, tmp_path / "samples.csv")
+    lines = (tmp_path / "samples.csv").read_text().splitlines()
+    assert lines[0] == ("iteration,case,rate_predicted,rate_actual,feasible,"
+                        "cluster_radius,cluster_distance,num_pairs")
+    assert lines[1:] == ["%d,%s,%.9g,%.9g,%d,%.9g,%.9g,%d"
+                         % (it, r.case.value, *r[1:]) for it, r in expected]
+
+
 def test_infeasible_iteration_marks_both_cases(tables):
     # a 47 dB floor skips most default snapshots but not all, so a
     # waveform-dependent skip would show as a split
     cfg = d.with_updates(d.ScenarioConfig(), cu_min_sinr=47.0)
-    outcomes = []
     streams = np.random.SeedSequence(cfg.seed).spawn(100)
-    for stream, results in zip(streams, d.run_iteration(cfg, tables, streams)):
-        flags = [r.feasible for r in results]
-        assert len(set(flags)) == 1          # never split across cases
-        if not flags[0]:
-            assert all(r.rate_actual == r.rate_predicted == 0.0
-                       for r in results)
-        # skipped block-mates, with their zero powers, leave every
-        # snapshot's results as they are alone
-        assert results == d.run_iteration(cfg, tables, [stream])[0]
-        outcomes.append(flags[0])
-    assert 0 < sum(outcomes) < len(outcomes), sum(outcomes)
+    record = d.run_iteration(cfg, tables, streams)
+    flags = record.feasible
+    # never split across cases
+    assert np.array_equal(flags[:, 0], flags[:, 1])
+    assert np.all(record.rate_actual[~flags] == 0.0)
+    assert np.all(record.rate_predicted[~flags] == 0.0)
+    # skipped block-mates, with their zero powers, leave every snapshot's
+    # results as they are alone
+    for it, stream in enumerate(streams):
+        assert_records_equal(rows(record, [it]),
+                             d.run_iteration(cfg, tables, [stream]))
+    assert 0 < flags[:, 0].sum() < len(streams), flags[:, 0].sum()
 
 
 def check_recorded_solve(args, result):

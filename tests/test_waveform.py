@@ -293,9 +293,13 @@ def test_build_all_tables_rejects_unknown_method(filt):
 
 
 def test_time_sim_rejects_empty_offsets(filt):
-    with pytest.raises(ValueError, match="timing_offsets must not be empty"):
-        wf.table_from_time_sim(wf.OFDM, wf.FBMC, filt, half_span=2,
-                               timing_offsets=[])
+    """No offsets, or fractional ones, which would otherwise be truncated
+    to whole samples."""
+    for offsets, match in (([], "timing_offsets must not be empty"),
+                           ([1.5, 2.7], "timing_offsets must be integer")):
+        with pytest.raises(ValueError, match=match):
+            wf.table_from_time_sim(wf.OFDM, wf.FBMC, filt, half_span=2,
+                                   timing_offsets=offsets)
 
 
 def test_table_symmetry(tables, tables_psd):
