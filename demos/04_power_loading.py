@@ -23,10 +23,10 @@ from d2d_underlay.waveform import WaveformType
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--seed", type=int, default=7)
-    ap.add_argument("--pairs", type=int, default=4)
+    ap.add_argument("--pairs", type=int, default=4, dest="num_pairs")
     args = ap.parse_args()
 
-    cfg = with_updates(ScenarioConfig(), num_d2d_pairs=args.pairs)
+    cfg = with_updates(ScenarioConfig(), num_d2d_pairs=args.num_pairs)
     kind = WaveformType.FBMC_OQAM
     tables = build_all_tables(build_phydyas_filter(4, 512), num_offsets=400)
 
@@ -36,15 +36,15 @@ def main():
     smap = random_cu_map(cfg, rng)
     print("cluster at %.0f m from the BS, radius %.0f m, %d pairs, %d RBs"
           % (np.linalg.norm(placement.cluster_centre),
-             placement.cluster_radius, args.pairs, cfg.num_rbs))
+             placement.cluster_radius, args.num_pairs, cfg.num_rbs))
 
     zero = PowerAllocation(
-        p_d2d=np.zeros((args.pairs, cfg.subcarriers_per_rb)),
+        p_d2d=np.zeros((args.num_pairs, cfg.subcarriers_per_rb)),
         p_cu=uniform_cu_powers(cfg))
     cost = cu_to_d2d_cost_matrix(gains, zero,
                                  tables[(WaveformType.OFDM, kind)], smap)
     print("\nCU-interference cost per candidate RB (dBm, per pair):")
-    for j in range(args.pairs):
+    for j in range(args.num_pairs):
         print("  pair %d: %s" % (j, "  ".join(
             "%6.1f" % (10 * np.log10(c) + 30) for c in cost[j])))
 
@@ -58,7 +58,7 @@ def main():
 
     cap = cfg.max_tx_power_w
     print("\nper-pair power use (cap %.0f mW):" % (cap * 1e3))
-    for j in range(args.pairs):
+    for j in range(args.num_pairs):
         used = res.powers.p_d2d[j].sum()
         active = int((res.powers.p_d2d[j] > 1e-12).sum())
         print("  pair %d: %6.1f mW over %2d/12 subcarriers%s"
@@ -77,7 +77,7 @@ def main():
     actual, predicted = d2d_sinr_matrices(gains, res.powers, tables, smap,
                                           cfg.noise_per_subcarrier_w, kind)
     print("\nmean subcarrier SINR per pair (dB), allocator's view vs truth:")
-    for j in range(args.pairs):
+    for j in range(args.num_pairs):
         on = res.powers.p_d2d[j] > 1e-12
         if not on.any():
             print("  pair %d: silenced" % j)

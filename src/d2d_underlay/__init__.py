@@ -7,7 +7,7 @@ RB assignment, water-filling power control and campaign/sweep drivers.
 """
 
 from .waveform import (
-    WaveformType, OFDM, FBMC, parse_waveform,
+    WaveformType, OFDM, FBMC,
     PrototypeFilter, build_phydyas_filter,
     InterferenceTable, BandKernels, TIME_SIM, PSD,
     table_from_time_sim, table_from_psd, build_all_tables,

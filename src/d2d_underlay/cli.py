@@ -36,10 +36,6 @@ def _build_parser():
     sub = p.add_subparsers(dest="subcommand", metavar="{tables,run,sweep,validate}")
 
     t = sub.add_parser("tables", help="generate interference tables as CSV")
-    t.add_argument("--pair", default="all",
-                   help="interferer:victim, e.g. fbmc:fbmc, or 'all'")
-    t.add_argument("--method", choices=["time", "psd"], default="time",
-                   help="averaging method (receiver simulation or PSD overlap)")
     t.add_argument("--out", default=".", help="output directory")
 
     r = sub.add_parser("run", help="run one Monte Carlo campaign")
@@ -68,26 +64,19 @@ def _out_dir(args):
     return args.out
 
 
-def _build_tables(method=wf.TIME_SIM):
-    """The tables every command uses: 512 subcarriers, default span."""
-    return wf.build_all_tables(wf.build_phydyas_filter(4, 512), method=method)
+def _build_tables():
+    """The tables every command uses: receiver model, 512 subcarriers,
+    default span."""
+    return wf.build_all_tables(wf.build_phydyas_filter(4, 512))
 
 
 def _cmd_tables(args):
-    keys = None
-    if args.pair != "all":
-        a, _, b = args.pair.partition(":")
-        try:
-            keys = [(wf.parse_waveform(a), wf.parse_waveform(b))]
-        except wf.UnsupportedParameterError:
-            raise UsageError("unknown waveform pair %r" % args.pair)
     out = _out_dir(args)
-    method = wf.TIME_SIM if args.method == "time" else wf.PSD
-    tables = _build_tables(method)
-    for a, b in keys or tables:
-        name = "table_%s_%s.csv" % (a.value.lower(), b.value.lower())
-        wf.save_table(tables[(a, b)], os.path.join(out, name))
-        print(os.path.join(out, name))
+    for (a, b), table in _build_tables().items():
+        path = os.path.join(out, "table_%s_%s.csv" % (a.value.lower(),
+                                                      b.value.lower()))
+        wf.save_table(table, path)
+        print(path)
 
 
 def _cmd_run(args):

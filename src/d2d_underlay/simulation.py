@@ -178,9 +178,9 @@ def run_campaign(config, tables, jobs=0):
     """Aggregate ``config.iterations`` independent snapshots into a report.
 
     Snapshots run in blocks of ``BLOCK_SIZE``, fixed by snapshot index;
-    ``jobs > 1`` distributes the blocks over worker processes.  Each
-    snapshot owns a spawned seed stream and its result does not depend on
-    its block-mates, so the report is identical for any degree.
+    ``jobs > 1`` spreads them over ``min(jobs, blocks)`` worker processes.
+    Each snapshot owns a spawned seed stream and its result does not depend
+    on its block-mates, so the report is identical for any degree.
     """
     if jobs < 0:
         raise ValueError("jobs must be >= 0, got %d" % jobs)
@@ -189,7 +189,7 @@ def run_campaign(config, tables, jobs=0):
               for i in range(0, len(streams), BLOCK_SIZE)]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(blocks))) as pool:
             done = list(pool.map(run_iteration, [config] * len(blocks),
                                  [tables] * len(blocks), blocks))
     else:

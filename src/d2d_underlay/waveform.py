@@ -58,23 +58,6 @@ class WaveformType(Enum):
 OFDM = WaveformType.OFDM
 FBMC = WaveformType.FBMC_OQAM
 
-_KIND_ALIASES = {
-    "ofdm": OFDM,
-    "fbmc": FBMC,
-    "fbmc_oqam": FBMC,
-    "fbmc/oqam": FBMC,
-}
-
-
-def parse_waveform(token):
-    """Map a user-facing token like ``ofdm`` or ``fbmc`` to a WaveformType
-    (case and surrounding blanks ignored)."""
-    try:
-        return _KIND_ALIASES[token.strip().lower()]
-    except KeyError:
-        raise UnsupportedParameterError("unknown waveform %r" % (token,))
-
-
 @dataclass(frozen=True)
 class PrototypeFilter:
     """Unit-energy overlap-4 prototype filter for the filter-bank waveform,

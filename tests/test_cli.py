@@ -45,7 +45,7 @@ def config_path(tmp_path):
 
 @pytest.fixture
 def fast_tables(monkeypatch, tables):
-    monkeypatch.setattr(cli, "_build_tables", lambda *a, **k: tables)
+    monkeypatch.setattr(cli, "_build_tables", lambda: tables)
 
 
 # ---------------------------------------------------------------------------
@@ -123,11 +123,18 @@ def test_unknown_flag_is_usage_error(capsys):
     assert err.startswith("error:")
 
 
-def test_bad_waveform_pair_is_usage_error(capsys, tmp_path):
-    code, _, err = _run(capsys, ["tables", "--pair", "gfdm:ofdm",
-                                 "--out", str(tmp_path)])
+@pytest.mark.parametrize("option", [["--method", "psd"],
+                                    ["--pair", "fbmc:ofdm"]],
+                         ids=["method", "pair"])
+def test_tables_takes_no_build_option(capsys, tmp_path, option):
+    """``tables`` writes the tables ``run`` and ``sweep`` build, so it has
+    no option that would build others."""
+    out = tmp_path / "out"
+    code, stdout, err = _run(capsys, ["tables", *option, "--out", str(out)])
     assert code == cli.EXIT_USAGE
-    assert "gfdm" in err
+    assert stdout == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert not out.exists()
 
 
 def test_empty_sweep_values_is_usage_error(capsys, config_path, fast_tables):
@@ -162,8 +169,7 @@ def test_missing_config_exits_3(capsys, tmp_path):
 def test_tables_out_is_a_file_exits_3(capsys, tmp_path):
     blocker = tmp_path / "file"
     blocker.write_text("")
-    code, _, err = _run(capsys, ["tables", "--method", "psd",
-                                 "--out", str(blocker)])
+    code, _, err = _run(capsys, ["tables", "--out", str(blocker)])
     assert code == cli.EXIT_CONFIG
     assert err.startswith("error:") and len(err.splitlines()) == 1
     assert blocker.read_text() == ""
@@ -556,42 +562,30 @@ def test_sweep_values_parsing(capsys, fast_tables, tmp_path, parameter,
 # happy paths
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("method,pairs", [
-    ("psd", ["fbmc:ofdm"]),
-    ("time", ["all", "fbmc:fbmc"]),
-], ids=["psd", "time"])
-def test_tables_roundtrip(capsys, tmp_path, method, pairs):
-    """``tables`` writes the tables ``run`` and ``sweep`` build: a
+def test_tables_roundtrip(capsys, tmp_path):
+    """``tables`` writes the four tables ``run`` and ``sweep`` build: a
     ``# interferer,victim,method,L`` header, then every ``l,value`` row in
     [-L, L] with values that read back bit-equal."""
-    built = cli._build_tables(wf.PSD if method == "psd" else wf.TIME_SIM)
+    built = cli._build_tables()
     span = wf.DEFAULT_HALF_SPAN
-    for pair in pairs:
-        out = tmp_path / pair.replace(":", "_")
-        code, msg, _ = _run(capsys, [
-            "tables", "--pair", pair, "--method", method, "--out", str(out)])
-        assert code == cli.EXIT_OK
-        assert sorted(msg.split()) == sorted(str(p) for p in out.iterdir())
-        written = {}
-        for path in out.iterdir():
-            head = path.read_text().splitlines()[0]
-            a, b, got_method, L = head.lstrip("# ").split(",")
-            key = (wf.WaveformType[a], wf.WaveformType[b])
-            assert path.name == "table_%s_%s.csv" % tuple(
-                k.value.lower() for k in key)
-            assert got_method == built[key].method
-            assert int(L) == span
-            rows = np.loadtxt(path, delimiter=",", comments="#")
-            assert rows[:, 0].tolist() == list(range(-span, span + 1))
-            written[key] = rows[:, 1]
-        if pair == "all":
-            keys = set(built)
-        else:
-            a, b = pair.split(":")
-            keys = {(wf.parse_waveform(a), wf.parse_waveform(b))}
-        assert set(written) == keys
-        assert [key for key, values in written.items() if not np.array_equal(
-            values, built[key].coeffs[np.abs(np.arange(-span, span + 1))])] == []
+    code, msg, _ = _run(capsys, ["tables", "--out", str(tmp_path)])
+    assert code == cli.EXIT_OK
+    assert sorted(msg.split()) == sorted(str(p) for p in tmp_path.iterdir())
+    written = {}
+    for path in tmp_path.iterdir():
+        head = path.read_text().splitlines()[0]
+        a, b, method, L = head.lstrip("# ").split(",")
+        key = (wf.WaveformType[a], wf.WaveformType[b])
+        assert path.name == "table_%s_%s.csv" % tuple(
+            k.value.lower() for k in key)
+        assert method == built[key].method == wf.TIME_SIM
+        assert int(L) == span
+        rows = np.loadtxt(path, delimiter=",", comments="#")
+        assert rows[:, 0].tolist() == list(range(-span, span + 1))
+        written[key] = rows[:, 1]
+    assert set(written) == set(built)
+    assert [key for key, values in written.items() if not np.array_equal(
+        values, built[key].coeffs[np.abs(np.arange(-span, span + 1))])] == []
 
 
 def test_run_outputs_and_determinism(capsys, config_path, fast_tables, tmp_path):

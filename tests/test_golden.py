@@ -1,9 +1,9 @@
 """Output bytes of every command, pinned by SHA-256.
 
 Small ``run``s (clustered and non-clustered, 30 snapshots), a
-``sweep --parameter num_pairs --values 5,9`` and ``tables`` (time, psd and
-one pair) go through ``cli.main``, table build included; every file they
-write must hash to the digest recorded in ``data/golden_sha256.json``.
+``sweep --parameter num_pairs --values 5,9`` and ``tables`` go through
+``cli.main``, table build included; every file they write must hash to the
+digest recorded in ``data/golden_sha256.json``.
 
 A change meant to keep results identical passes unchanged.  A deliberate
 model change (for example exact, seedless leakage tables) re-records the
@@ -30,11 +30,7 @@ COMMANDS = {
     "sweep_num_pairs": lambda cfg, out: ["sweep", "--config", cfg["clustered"],
                                          "--parameter", "num_pairs",
                                          "--values", "5,9", "--out", out],
-    "tables_time": lambda cfg, out: ["tables", "--method", "time",
-                                     "--out", out],
-    "tables_psd": lambda cfg, out: ["tables", "--method", "psd", "--out", out],
-    "tables_pair": lambda cfg, out: ["tables", "--pair", "fbmc:ofdm",
-                                     "--out", out],
+    "tables_time": lambda cfg, out: ["tables", "--out", out],
 }
 
 

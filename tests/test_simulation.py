@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import inspect
 
@@ -296,6 +297,36 @@ def test_campaign_parallel_matches_sequential(tables):
     b = d.run_campaign(cfg, tables, jobs=2)
     assert_records_equal(a.record, b.record)
     assert a.summary == b.summary
+
+
+@pytest.mark.parametrize("iterations,workers", [(sim.BLOCK_SIZE + 1, 2),
+                                                 (3, 1)])
+def test_pool_starts_at_most_one_worker_per_block(tables, monkeypatch,
+                                                   iterations, workers):
+    """Under fork, a pool starts all ``max_workers`` processes at its first
+    submit, so ``jobs`` beyond the number of blocks would only start idle
+    processes.  A fake pool records its worker count and maps in-process."""
+    started = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        RecordingPool)
+    cfg = d.with_updates(d.ScenarioConfig(), iterations=iterations)
+    pooled = d.run_campaign(cfg, tables, jobs=64)
+    assert started == [workers]
+    assert_records_equal(d.run_campaign(cfg, tables).record, pooled.record)
 
 
 def test_blocks_independent_of_jobs_and_block_mates(tmp_path, tables):

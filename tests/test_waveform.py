@@ -207,10 +207,6 @@ def test_phydyas_rejects_unsupported_parameters():
 def test_waveform_kind_invariants():
     assert wf.OFDM.cp_ratio == wf.DEFAULT_CP_RATIO
     assert wf.FBMC.cp_ratio == 0.0
-    assert d.parse_waveform(" OFDM ") == wf.OFDM
-    assert d.parse_waveform("fbmc") == wf.FBMC
-    with pytest.raises(d.UnsupportedParameterError):
-        d.parse_waveform("gfdm")
 
 
 def test_psd_ofdm_sidelobes_decay(tables_psd):
