@@ -7,34 +7,23 @@ RB assignment, water-filling power control and campaign/sweep drivers.
 """
 
 from .waveform import (
-    WaveformType, OFDM, FBMC,
-    PrototypeFilter, build_phydyas_filter,
-    InterferenceTable, BandKernels, TIME_SIM, PSD,
-    table_from_time_sim, table_from_psd, build_all_tables,
+    WaveformType, build_phydyas_filter, PSD, table_from_psd, build_all_tables,
     save_table, UnsupportedParameterError, TableValidationError,
 )
 from .geometry import (
     ScenarioConfig, NodePlacement, Layout, ConfigurationError,
     sample_placement, load_config, save_config, with_updates,
 )
-from .channel import (
-    ChannelGains, los_probability, pathloss_db, gains_from_placement,
-)
+from .channel import los_probability, pathloss_db, gains_from_placement
 from .interference import (
-    SpectrumMap, PowerAllocation, random_cu_map, uniform_cu_powers,
-    cu_sinr_all, d2d_to_cu_coefficients, i_cu_matrix, i_d2d_matrix,
+    PowerAllocation, random_cu_map, uniform_cu_powers, cu_sinr_all,
     d2d_sinr_matrices, cu_to_d2d_cost_matrix,
 )
-from .allocation import (
-    Assignment, PowerLoadingResult, SolverStatus, InfeasibleAssignmentError,
-    hungarian, cu_constraint_coefficients, power_loading, loading_objective,
-    KKT_TOLERANCE,
-)
+from .allocation import hungarian, power_loading
 from .simulation import (
-    Case, SweepParameter, CampaignRecord, RateReport, EmptyReportError,
-    rate_from_sinr, run_iteration, run_campaign, sweep, build_report,
-    write_samples_csv, write_cdf_csv, write_sweep_csv,
-    write_gnuplot_cdf, write_gnuplot_sweep,
+    EmptyReportError, rate_from_sinr, run_iteration, run_campaign, sweep,
+    write_samples_csv, write_cdf_csv, write_sweep_csv, write_gnuplot_cdf,
+    write_gnuplot_sweep,
 )
 
 __version__ = "0.1.0"

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 BS_HEIGHT = 10.0        # m
-MIN_DISTANCE = 3.0      # m; shorter links are clamped (model extrapolation)
+MIN_DISTANCE = 3.0      # m; the placement floor; shorter links are clamped
 
 
 @dataclass

@@ -127,7 +127,7 @@ def main(argv=None):
         return EXIT_OK
     except UsageError as exc:
         code, message = EXIT_USAGE, exc
-    except (sim.EmptyReportError, ValueError) as exc:
+    except ValueError as exc:
         code, message = EXIT_INVARIANT, exc
     except OSError as exc:
         code, message = EXIT_CONFIG, exc

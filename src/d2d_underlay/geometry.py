@@ -9,9 +9,8 @@ from enum import Enum
 
 import numpy as np
 
-# 3 m floor between any transmitter and any receiver, below which the
-# pathloss model is not meaningful.
-MIN_LINK_DISTANCE = 3.0
+from .channel import MIN_DISTANCE
+
 _MAX_RESAMPLE = 200
 
 
@@ -60,9 +59,6 @@ class ScenarioConfig:
     seed: int = 1
 
     def __post_init__(self):
-        self.validate()
-
-    def validate(self):
         for f in fields(self):
             value = getattr(self, f.name)
             if isinstance(value, float) and not np.isfinite(value):
@@ -118,7 +114,6 @@ class ScenarioConfig:
                     "cluster of radius %.1f m (%s)%s does not fit in "
                     "cell_radius %.1f m" % (radius, which, where,
                                             self.cell_radius))
-        return self
 
     @property
     def num_cus(self):
@@ -146,11 +141,6 @@ class ScenarioConfig:
         """The fixed cluster radius, else the top of the random range."""
         return (self.cluster_radius_max if self.cluster_radius_fixed is None
                 else self.cluster_radius_fixed)
-
-    @property
-    def max_link_distance(self):
-        """Upper bound on tx-rx separation used by the non-clustered layout."""
-        return self.d2d_max_link_factor * self.cluster_radius_bound
 
 
 @dataclass
@@ -189,7 +179,7 @@ def _draw_receivers(rng, tx, max_link, cell_radius):
             if math.sqrt(x * x + y * y) <= cell_radius and (
                     tries >= _MAX_RESAMPLE or min(
                         math.sqrt((a - x) * (a - x) + (b - y) * (b - y))
-                        for a, b in pts) >= MIN_LINK_DISTANCE):
+                        for a, b in pts) >= MIN_DISTANCE):
                 rx[i] = x, y
                 break
         else:
@@ -200,36 +190,34 @@ def _draw_receivers(rng, tx, max_link, cell_radius):
     return rx
 
 
-def _assemble(config, rng, centre, radius):
-    cu_pos = _uniform_disc(rng, config.cell_radius, size=config.num_cus)
-    if centre is not None:
-        tx = _uniform_disc(rng, radius, centre=centre, size=config.num_d2d_pairs)
-        max_link = config.d2d_max_link_factor * radius
-    else:
-        tx = _uniform_disc(rng, config.cell_radius, size=config.num_d2d_pairs)
-        max_link = config.max_link_distance
-    rx = _draw_receivers(rng, tx, max_link, config.cell_radius)
-    return NodePlacement(cu_pos=cu_pos, d2d_tx_pos=tx, d2d_rx_pos=rx,
-                         cluster_centre=centre, cluster_radius=radius)
-
-
 def sample_placement(config, rng):
     """Draw one topology.  A cluster's radius is fixed or uniform in
     [cluster_radius_min, cluster_radius_max]; its centre is uniform over the
     disc that keeps it in the cell, or at the fixed distance from the BS at
-    a uniform angle (``ScenarioConfig.validate`` makes either fit)."""
-    if config.layout is Layout.NON_CLUSTERED:
-        return _assemble(config, rng, None, None)
-    radius = config.cluster_radius_fixed
-    if radius is None:
-        radius = rng.uniform(config.cluster_radius_min, config.cluster_radius_max)
-    if config.cluster_distance_fixed is None:
-        centre = _uniform_disc(rng, config.cell_radius - radius, 1)[0]
+    a uniform angle (``ScenarioConfig`` checks that either fits).  Both
+    layouts then draw CUs, transmitters and receivers alike."""
+    centre = radius = None
+    if config.layout is Layout.CLUSTERED:
+        radius = config.cluster_radius_fixed
+        if radius is None:
+            radius = rng.uniform(config.cluster_radius_min,
+                                 config.cluster_radius_max)
+        if config.cluster_distance_fixed is None:
+            centre = _uniform_disc(rng, config.cell_radius - radius, 1)[0]
+        else:
+            phi = rng.uniform(0.0, 2.0 * np.pi)
+            centre = config.cluster_distance_fixed * np.array([np.cos(phi),
+                                                               np.sin(phi)])
+    cu_pos = _uniform_disc(rng, config.cell_radius, size=config.num_cus)
+    if centre is None:
+        tx = _uniform_disc(rng, config.cell_radius, size=config.num_d2d_pairs)
     else:
-        phi = rng.uniform(0.0, 2.0 * np.pi)
-        centre = config.cluster_distance_fixed * np.array([np.cos(phi),
-                                                           np.sin(phi)])
-    return _assemble(config, rng, centre, radius)
+        tx = _uniform_disc(rng, radius, centre=centre, size=config.num_d2d_pairs)
+    max_link = config.d2d_max_link_factor * (
+        config.cluster_radius_bound if radius is None else radius)
+    rx = _draw_receivers(rng, tx, max_link, config.cell_radius)
+    return NodePlacement(cu_pos=cu_pos, d2d_tx_pos=tx, d2d_rx_pos=rx,
+                         cluster_centre=centre, cluster_radius=radius)
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ CDF_GRID_POINTS = 200
 BLOCK_SIZE = 16
 
 
-class EmptyReportError(RuntimeError):
+class EmptyReportError(ValueError):
     """Every iteration of a campaign was infeasible; nothing to report."""
 
 
@@ -177,19 +177,21 @@ def run_iteration(config, tables, streams):
 def run_campaign(config, tables, jobs=0):
     """Aggregate ``config.iterations`` independent snapshots into a report.
 
-    Snapshots run in blocks of ``BLOCK_SIZE``, fixed by snapshot index;
-    ``jobs > 1`` spreads them over ``min(jobs, blocks)`` worker processes.
-    Each snapshot owns a spawned seed stream and its result does not depend
-    on its block-mates, so the report is identical for any degree.
+    Snapshots run in blocks of ``BLOCK_SIZE``, fixed by snapshot index, and
+    spread over ``min(jobs, blocks)`` worker processes.  A pool starts only
+    if that is at least two: one worker would only fork and pickle the
+    tables.  Each snapshot owns a spawned seed stream and its result does
+    not depend on its block-mates, so the report is identical for any degree.
     """
     if jobs < 0:
         raise ValueError("jobs must be >= 0, got %d" % jobs)
     streams = np.random.SeedSequence(config.seed).spawn(config.iterations)
     blocks = [streams[i:i + BLOCK_SIZE]
               for i in range(0, len(streams), BLOCK_SIZE)]
-    if jobs > 1:
+    workers = min(jobs, len(blocks))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=min(jobs, len(blocks))) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             done = list(pool.map(run_iteration, [config] * len(blocks),
                                  [tables] * len(blocks), blocks))
     else:

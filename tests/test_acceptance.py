@@ -42,6 +42,27 @@ def _median_gap(report, case):
     return (p - a) / p
 
 
+def _audit(*records):
+    """Whether every solve of the records is OPTIMAL or skipped, with each
+    OPTIMAL one under the KKT tolerance and the Newton step bound; and a
+    detail naming the count, the worst KKT residual and the most steps."""
+    status, kkt, steps = (
+        np.concatenate([getattr(r, name).ravel() for r in records])
+        for name in ("status", "kkt_residual", "newton_steps"))
+    optimal = status == al.SolverStatus.OPTIMAL
+    skipped = status == al.SolverStatus.INFEASIBLE_SKIPPED
+    worst = kkt[optimal].max(initial=0.0)
+    most = steps[optimal].max(initial=0)
+    passed = (bool(np.all(optimal | skipped)) and worst < al.KKT_TOLERANCE
+              and most <= al.MAX_NEWTON_STEPS)
+    return passed, (
+        "%d solves: %d OPTIMAL, %d skipped, %d other (need 0), worst KKT "
+        "residual %.1e (need < %.0e), at most %d Newton steps (need <= %d)"
+        % (status.size, optimal.sum(), skipped.sum(),
+           status.size - optimal.sum() - skipped.sum(), worst,
+           al.KKT_TOLERANCE, most, al.MAX_NEWTON_STEPS))
+
+
 @pytest.fixture(scope="module")
 def clustered_report(tables):
     return d.run_campaign(d.ScenarioConfig(), tables, jobs=2)
@@ -200,14 +221,16 @@ def test_criterion_4_clustered_gap_contrast(clustered_report, report_line):
     rep = clustered_report
     gap_fbmc = _median_gap(rep, sim.Case.D2D_FBMC)
     gap_ofdm = _median_gap(rep, sim.Case.D2D_OFDM)
+    audited, audit = _audit(rep.record)
     elapsed = time.perf_counter() - t0
-    passed = gap_fbmc < 0.02 and gap_ofdm >= 5 * gap_fbmc and elapsed < 300.0
+    passed = (gap_fbmc < 0.02 and gap_ofdm >= 5 * gap_fbmc and audited
+              and elapsed < 300.0)
     report_line(4, passed,
                 "clustered 10 pairs, 2000 iterations: filter-bank median "
                 "predicted-actual gap %.2f%% (need < 2%%), plain-OFDM gap "
-                "%.2f%% = %.1fx (need >= 5x), %.1f s (budget 300 s)"
+                "%.2f%% = %.1fx (need >= 5x); %s; %.1f s (budget 300 s)"
                 % (100 * gap_fbmc, 100 * gap_ofdm, gap_ofdm / gap_fbmc,
-                   elapsed))
+                   audit, elapsed))
 
 
 def test_criterion_5_layout_contrast(tables, clustered_report, report_line):
@@ -216,12 +239,14 @@ def test_criterion_5_layout_contrast(tables, clustered_report, report_line):
     rep_n = d.run_campaign(cfg, tables, jobs=2)
     gap_non = _median_gap(rep_n, sim.Case.D2D_OFDM)
     gap_clu = _median_gap(clustered_report, sim.Case.D2D_OFDM)
+    audited, audit = _audit(rep_n.record)
     elapsed = time.perf_counter() - t0
-    passed = gap_non < gap_clu and elapsed < 600.0
+    passed = gap_non < gap_clu and audited and elapsed < 600.0
     report_line(5, passed,
                 "plain-OFDM median gap %.2f%% non-clustered vs %.2f%% "
-                "clustered (need strictly smaller), %.1f s (budget 600 s)"
-                % (100 * gap_non, 100 * gap_clu, elapsed))
+                "clustered (need strictly smaller); non-clustered %s; "
+                "%.1f s (budget 600 s)"
+                % (100 * gap_non, 100 * gap_clu, audit, elapsed))
 
 
 def test_criterion_6_trend_suite(tables, report_line):
@@ -237,9 +262,11 @@ def test_criterion_6_trend_suite(tables, report_line):
         return np.sign(rho) == expected_sign and p < 0.05, rho, p
 
     checks = []
+    records = []
 
     values = [5, 7, 9, 11, 13]
     pts = d.sweep(cfg, sim.SweepParameter.NUM_PAIRS, values, tables, jobs=2)
+    records += [rep.record for _, rep in pts]
     ofdm, fbmc = means(pts, sim.Case.D2D_OFDM), means(pts, sim.Case.D2D_FBMC)
     checks.append(("rate down in num_pairs (plain)",) + trend(ofdm, values, -1))
     checks.append(("rate down in num_pairs (filter-bank)",)
@@ -250,6 +277,7 @@ def test_criterion_6_trend_suite(tables, report_line):
     values = [0.0, 35.0, 70.0, 105.0, 140.0]
     pts = d.sweep(cfg, sim.SweepParameter.CLUSTER_DISTANCE, values, tables,
                   jobs=2)
+    records += [rep.record for _, rep in pts]
     for case, name in ((sim.Case.D2D_OFDM, "plain"),
                        (sim.Case.D2D_FBMC, "filter-bank")):
         checks.append(("rate up in cluster distance (%s)" % name,)
@@ -258,17 +286,20 @@ def test_criterion_6_trend_suite(tables, report_line):
     values = [40.0, 55.0, 70.0, 85.0, 100.0]
     pts = d.sweep(cfg, sim.SweepParameter.CLUSTER_RADIUS, values, tables,
                   jobs=2)
+    records += [rep.record for _, rep in pts]
     advantage = (means(pts, sim.Case.D2D_FBMC)
                  - means(pts, sim.Case.D2D_OFDM))
     checks.append(("filter-bank advantage down in cluster radius",)
                   + trend(advantage, values, -1))
 
+    audited, audit = _audit(*records)
     elapsed = time.perf_counter() - t0
     failed = [name for name, ok, _, _ in checks if not ok]
     detail = "; ".join("%s rho=%+.2f p=%.3f" % (name, rho, p)
                        for name, _, rho, p in checks)
-    passed = not failed and elapsed < 1800.0
-    report_line(6, passed, "%s; %.0f s (budget 1800 s)" % (detail, elapsed))
+    passed = not failed and audited and elapsed < 1800.0
+    report_line(6, passed, "%s; %s; %.0f s (budget 1800 s)"
+                % (detail, audit, elapsed))
 
 
 def test_criterion_7_byte_identical_reruns(tables, tmp_path, report_line):

@@ -502,6 +502,17 @@ def test_sweep_invariant_exits_4(capsys, config_path, fast_tables, tmp_path):
     assert "300" in err
 
 
+def test_empty_campaign_exits_4(capsys, fast_tables, tmp_path):
+    """A CU SINR floor of 90 dB leaves no CU headroom, so every snapshot is
+    skipped and the report is empty."""
+    path = _config_with(tmp_path, "cu_min_sinr = 90")
+    out = tmp_path / "out"
+    code, _, err = _run(capsys, ["run", "--config", path, "--out", str(out)])
+    assert code == cli.EXIT_INVARIANT
+    assert err == "error: all 3 iterations were infeasible\n"
+    assert not (out / "samples.csv").exists()
+
+
 def test_sweep_checks_every_point_before_any_work(capsys, config_path,
                                                   fast_tables, campaigns,
                                                   tmp_path):

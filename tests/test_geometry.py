@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import d2d_underlay as d
+from d2d_underlay import channel as ch
 from d2d_underlay import geometry as geo
 
 
@@ -136,7 +137,8 @@ def test_containment_invariants(layout, rng):
                           <= cfg.d2d_max_link_factor * p.cluster_radius + 1e-9)
         else:
             assert np.all(np.linalg.norm(p.d2d_tx_pos - p.d2d_rx_pos, axis=1)
-                          <= cfg.max_link_distance + 1e-9)
+                          <= cfg.d2d_max_link_factor
+                          * cfg.cluster_radius_bound + 1e-9)
 
 
 def test_cluster_radius_range(rng):
@@ -236,7 +238,7 @@ def loop_draw_rx(rng, tx, max_link, cell_radius, all_tx, rejected=None):
         if np.linalg.norm(rx) > cell_radius:
             rejected.append("cell")
             continue
-        if np.min(np.linalg.norm(all_tx - rx, axis=1)) < geo.MIN_LINK_DISTANCE:
+        if np.min(np.linalg.norm(all_tx - rx, axis=1)) < ch.MIN_DISTANCE:
             rejected.append("floor")
             continue
         return rx
