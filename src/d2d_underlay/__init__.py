@@ -7,7 +7,7 @@ RB assignment, water-filling power control and campaign/sweep drivers.
 """
 
 from .waveform import (
-    WaveformType, build_phydyas_filter, PSD, table_from_psd, build_all_tables,
+    WaveformType, build_phydyas_filter, table_from_psd, build_all_tables,
     save_table, UnsupportedParameterError, TableValidationError,
 )
 from .geometry import (

@@ -282,20 +282,16 @@ def table_from_psd(interferer, victim, filt, half_span):
 
 
 def build_all_tables(filt, method=TIME_SIM, num_offsets=400):
-    """All four (interferer, victim) pairings at ``DEFAULT_HALF_SPAN``,
-    keyed by WaveformType pairs in interferer-major order.  A time-sim
-    build averages pairing (i, j) over ``num_offsets`` (at least 100)
-    timing offsets drawn uniformly over the victim's offset span from seed
-    ``7 * i + j``."""
+    """The four receiver-model tables at ``DEFAULT_HALF_SPAN``, keyed by
+    WaveformType pairs in interferer-major order.  Pairing (i, j) averages
+    over ``num_offsets`` (at least 100) timing offsets drawn uniformly over
+    the victim's offset span from seed ``7 * i + j``.  ``method`` accepts
+    only ``TIME_SIM``; it stays for callers that still pass it."""
     if num_offsets < 100:
         raise ValueError("num_offsets must be >= 100")
-    if method not in (PSD, TIME_SIM):
-        raise ValueError("unknown table method %r; use %r or %r"
-                         % (method, PSD, TIME_SIM))
+    if method != TIME_SIM:
+        raise ValueError("unknown table method %r; use %r" % (method, TIME_SIM))
     kinds = list(WaveformType)
-    if method == PSD:
-        return {(a, b): table_from_psd(a, b, filt, DEFAULT_HALF_SPAN)
-                for a in kinds for b in kinds}
     tables = {}
     for i, a in enumerate(kinds):
         for j, b in enumerate(kinds):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import d2d_underlay as d
+from d2d_underlay import waveform as wf
 
 
 @pytest.fixture(scope="session")
@@ -22,7 +23,11 @@ def tables(filt512):
 
 @pytest.fixture(scope="session")
 def tables_psd(filt512):
-    return d.build_all_tables(filt512, method=d.PSD)
+    """The band-integration baseline of every pairing, as demo 01 builds
+    its one table."""
+    kinds = list(wf.WaveformType)
+    return {(a, b): d.table_from_psd(a, b, filt512, wf.DEFAULT_HALF_SPAN)
+            for a in kinds for b in kinds}
 
 
 @pytest.fixture

@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
@@ -45,6 +46,9 @@ def test_hungarian_rejects_overload():
         al.hungarian(np.zeros((3, 2)))
     with pytest.raises(ValueError):
         al.hungarian(np.array([[np.inf, 1.0]]))
+    for cost in (np.zeros(3), np.zeros((2, 3, 4))):
+        with pytest.raises(ValueError, match="cost must be a matrix"):
+            al.hungarian(cost)
 
 
 def test_hungarian_scale_invariance(rng):
@@ -381,7 +385,8 @@ def test_newton_steps_bounded_on_stall_campaign(tables, solves,
     def no_minimize(*args, **kwargs):
         raise AssertionError("power_loading must not call scipy's minimize")
 
-    monkeypatch.setattr(al, "minimize", no_minimize)
+    monkeypatch.setattr(al, "minimize", no_minimize, raising=False)
+    monkeypatch.setattr(scipy.optimize, "minimize", no_minimize)
     cfg = d.with_updates(d.ScenarioConfig(), seed=2000085, iterations=20)
     d.run_campaign(cfg, tables)
     assert len(solves) == 40

@@ -59,7 +59,10 @@ def fast_tables(monkeypatch, tables):
     (["sweep", "--help"], "help_sweep.txt"),
     (["validate", "--help"], "help_validate.txt"),
 ])
-def test_help_text(capsys, argv, name):
+def test_help_text(capsys, monkeypatch, argv, name):
+    """At the 80 columns the pinned files were written at: argparse wraps
+    at ``COLUMNS``, whatever the terminal."""
+    monkeypatch.setenv("COLUMNS", "80")
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == 0

@@ -106,6 +106,27 @@ def test_report_statistics_match_numpy_per_series(tables):
                 / len(series))
 
 
+def test_report_of_equal_rates_spans_one_unit():
+    """When every kept rate is the same value, the CDF grid runs from it to
+    it + 1 bit/s, each CDF is 1 at every point, and each statistic is the
+    value."""
+    rate = 2.5e6
+    shape = (3, len(sim.Case))
+    record = sim.CampaignRecord(
+        rate_predicted=np.full(shape, rate), rate_actual=np.full(shape, rate),
+        status=np.full(shape, al.SolverStatus.OPTIMAL),
+        newton_steps=np.ones(shape, dtype=int),
+        kkt_residual=np.zeros(shape), cluster_radius=np.full(3, np.nan),
+        cluster_distance=np.full(3, np.nan))
+    rep = sim.build_report(record, 4)
+    assert (rep.iterations, rep.skipped) == (3, 0)
+    assert np.array_equal(rep.cdf_grid,
+                          np.linspace(rate, rate + 1.0, sim.CDF_GRID_POINTS))
+    for key in sim._COLUMNS:
+        assert np.array_equal(rep.cdf[key], np.ones(sim.CDF_GRID_POINTS))
+    assert set(rep.summary.values()) == {rate}
+
+
 @pytest.mark.parametrize("layout", list(d.Layout))
 def test_equal_tables_make_the_cases_identical(tables, layout):
     """With one table in all four slots, the two waveform cases see the same

@@ -284,17 +284,25 @@ def test_build_all_tables_rejects_small_sample(filt):
 
 
 def test_build_all_tables_rejects_unknown_method(filt):
-    with pytest.raises(ValueError, match="unknown table method 'psd'"):
-        wf.build_all_tables(filt, method="psd")
+    """Only the receiver model builds a table set; the PSD baseline is
+    ``table_from_psd`` alone."""
+    for method in ("psd", wf.PSD):
+        with pytest.raises(ValueError,
+                           match="unknown table method %r" % method):
+            wf.build_all_tables(filt, method=method)
 
 
 def test_time_sim_rejects_empty_offsets(filt):
     """No offsets, or fractional ones, which would otherwise be truncated
-    to whole samples."""
-    for offsets, match in (([], "timing_offsets must not be empty"),
-                           ([1.5, 2.7], "timing_offsets must be integer")):
+    to whole samples; and no spectral distance beyond l = 0, checked
+    before a negative span reaches the fold."""
+    for span, offsets, match in (
+            (2, [], "timing_offsets must not be empty"),
+            (2, [1.5, 2.7], "timing_offsets must be integer"),
+            (0, [0], "half_span must be >= 1"),
+            (-1, [0], "half_span must be >= 1")):
         with pytest.raises(ValueError, match=match):
-            wf.table_from_time_sim(wf.OFDM, wf.FBMC, filt, half_span=2,
+            wf.table_from_time_sim(wf.OFDM, wf.FBMC, filt, half_span=span,
                                    timing_offsets=offsets)
 
 
@@ -373,5 +381,14 @@ def test_save_rejects_invalid_coefficient(tmp_path, value):
     coeffs[2] = value
     table = wf.InterferenceTable(wf.OFDM, wf.OFDM, coeffs, wf.PSD)
     with pytest.raises(d.TableValidationError, match="l=\\[2\\]"):
+        d.save_table(table, tmp_path / "t.csv")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_save_rejects_table_without_span(tmp_path):
+    """A table of I(0) alone has no leakage to neighbours to describe."""
+    table = wf.InterferenceTable(wf.OFDM, wf.OFDM, np.array([1.0]),
+                                 wf.TIME_SIM)
+    with pytest.raises(d.TableValidationError, match="half_span must be >= 1"):
         d.save_table(table, tmp_path / "t.csv")
     assert list(tmp_path.iterdir()) == []
