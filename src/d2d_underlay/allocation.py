@@ -84,7 +84,8 @@ def cu_constraint_coefficients(gains, tables, smap, cu_powers, config, d2d_kind)
     ``c[i, j, m]`` is the leakage of a unit of pair-j power on subcarrier m
     into CU i's RB at the BS; ``T[i]`` is the interference headroom left once
     CU i must still meet its minimum SINR.  Negative headroom marks the
-    snapshot infeasible.
+    snapshot infeasible.  A block of snapshots gives c and T a leading block
+    axis.
     """
     c = itf.d2d_to_cu_coefficients(
         gains, tables[(d2d_kind, WaveformType.OFDM)], smap)
@@ -107,16 +108,54 @@ def _start_duals(a, g):
     g shaped (pairs, S).  The row with the largest weight sum over pair j's
     columns (its co-channel CU row when that CU binds first, else its cap
     row) gets 1/level, level = min_n (1 + sum of the n smallest c/g) / n
-    over that row's weights c; rows chosen by several pairs add duals."""
-    pairs, s = g.shape
-    blocks = a.reshape(len(a), pairs, s)
-    rows = blocks.sum(axis=2).argmax(axis=0)
-    ratio = np.sort(blocks[rows, np.arange(pairs)] / g, axis=1)
-    level = ((1.0 + np.cumsum(ratio, axis=1)) / np.arange(1, s + 1)).min(axis=1)
-    return np.bincount(rows, weights=1.0 / level, minlength=len(a))
+    over that row's weights c; rows chosen by several pairs add duals.  A
+    block of problems stacks a and g on a leading axis."""
+    pairs, s = g.shape[-2:]
+    blocks = a.reshape(a.shape[:-1] + (pairs, s))
+    rows = blocks.sum(axis=-1).argmax(axis=-2)
+    heaviest = np.take_along_axis(blocks, rows[..., None, :, None], axis=-3)
+    ratio = np.sort(heaviest[..., 0, :, :] / g, axis=-1)
+    level = ((1.0 + np.cumsum(ratio, axis=-1))
+             / np.arange(1, s + 1)).min(axis=-1)
+    # one bincount for the block: problem k's rows start at k * len(A)
+    first = a.shape[-2] * np.arange(rows.size // pairs)
+    rows = rows + first.reshape(rows.shape[:-1] + (1,))
+    return np.bincount(rows.ravel(), weights=(1.0 / level).ravel(),
+                       minlength=a[..., 0].size).reshape(a.shape[:-1])
 
 
-def power_loading(assignment, gains, tables, smap, config, d2d_kind):
+def loading_problems(gains, tables, smap, config, d2d_kind):
+    """The normalized power-loading problems of one snapshot, or of a block
+    of snapshots: the block's gains and a ``SpectrumMap`` with stacked
+    ``rb_of_cu`` and ``rb_of_d2d``.  Returns ``(skip, a, g, z)``, stacked on
+    the block axis: whether the snapshot has negative CU headroom, the
+    constraint matrix A (CU rows over their headroom, then one cap row per
+    pair), g = P_max h / (noise + CU interference) shaped (pairs, S), and
+    the start duals.  A snapshot's slice is ``power_loading``'s ``problem``.
+    """
+    num_pairs, s = smap.rb_of_d2d.shape[-1], smap.subcarriers_per_rb
+    p_max = config.max_tx_power_w
+    zero = itf.PowerAllocation(p_d2d=np.zeros(smap.rb_of_d2d.shape + (s,)),
+                               p_cu=itf.uniform_cu_powers(config))
+    c, thresholds = cu_constraint_coefficients(gains, tables, smap, zero.p_cu,
+                                               config, d2d_kind)
+    skip = np.any(thresholds < 0, axis=-1)
+    # a zero threshold leaves no headroom at all; a skipped snapshot's rows
+    # are never read, so a unit threshold keeps them finite
+    t_safe = np.where(skip[..., None], 1.0, np.maximum(thresholds, 1e-300))
+    num_cu = thresholds.shape[-1]
+    a = np.zeros(skip.shape + (num_cu + num_pairs, num_pairs * s))
+    np.divide(c.reshape(c.shape[:-2] + (-1,)) * p_max, t_safe[..., None],
+              out=a[..., :num_cu, :])
+    a[..., num_cu:, :] = np.repeat(np.eye(num_pairs), s, axis=1)
+    i_cu = itf.i_cu_matrix(gains, zero, tables[(WaveformType.OFDM, d2d_kind)],
+                           smap)
+    g = p_max * gains.h_self[..., None] / (config.noise_per_subcarrier_w + i_cu)
+    return skip, a, g, _start_duals(a, g)
+
+
+def power_loading(assignment, gains, tables, smap, config, d2d_kind, *,
+                  problem=None):
     """Solve the simplified power-loading problem for one snapshot.
 
     Works on normalized powers x = P / P_max with the CU constraints rescaled
@@ -127,37 +166,26 @@ def power_loading(assignment, gains, tables, smap, config, d2d_kind):
     each pair against its heaviest row of A alone: its co-channel CU row
     when that CU binds before the cap, else its cap row.  The same loop
     scores the KKT residual and rescales the primal into strict feasibility.
+
+    ``problem`` is the snapshot's slice of its block's ``loading_problems``;
+    without it, ``loading_problems`` runs on this snapshot alone.
     """
     smap = smap.with_assignment(assignment.rb_of_pair)
-    num_pairs = len(assignment.rb_of_pair)
-    s = smap.subcarriers_per_rb
-    p_max = config.max_tx_power_w
-    cu_powers = itf.uniform_cu_powers(config)
-    zero = itf.PowerAllocation(p_d2d=np.zeros((num_pairs, s)), p_cu=cu_powers)
-
-    c, thresholds = cu_constraint_coefficients(gains, tables, smap, cu_powers,
-                                               config, d2d_kind)
-    if np.any(thresholds < 0):
-        return PowerLoadingResult(
-            powers=zero, dual_cu=np.zeros(len(thresholds)),
-            dual_cap=np.zeros(num_pairs), kkt_residual=np.inf,
-            iterations_used=0, status=SolverStatus.INFEASIBLE_SKIPPED)
-
-    # normalized constraint matrix; a zero threshold leaves no headroom at all
-    t_safe = np.maximum(thresholds, 1e-300)
-    num_cu = len(thresholds)
-    a = np.zeros((num_cu + num_pairs, num_pairs * s))
-    np.divide(c.reshape(num_cu, -1) * p_max, t_safe[:, None], out=a[:num_cu])
-    a[num_cu:].reshape(num_pairs, num_pairs, s)[np.diag_indices(num_pairs)] = 1
-    i_cu = itf.i_cu_matrix(gains, zero, tables[(WaveformType.OFDM, d2d_kind)],
-                           smap)
-    g = p_max * gains.h_self[:, None] / (config.noise_per_subcarrier_w + i_cu)
-
-    z, x, kkt, steps = _projected_newton(_start_duals(a, g), a, g.ravel())
-    status = (SolverStatus.OPTIMAL if kkt < KKT_TOLERANCE
+    if problem is None:
+        problem = loading_problems(gains, tables, smap, config, d2d_kind)
+    skip, a, g, z = problem
+    num_pairs, s = g.shape
+    num_cu = len(a) - num_pairs
+    if skip:
+        z, x, kkt, steps = np.zeros(len(a)), np.zeros(g.size), np.inf, 0
+    else:
+        z, x, kkt, steps = _projected_newton(z, a, g.ravel())
+    status = (SolverStatus.INFEASIBLE_SKIPPED if skip
+              else SolverStatus.OPTIMAL if kkt < KKT_TOLERANCE
               else SolverStatus.MAX_ITER)
+    p_max = config.max_tx_power_w
     powers = itf.PowerAllocation(p_d2d=x.reshape(num_pairs, s) * p_max,
-                                 p_cu=cu_powers)
+                                 p_cu=itf.uniform_cu_powers(config))
     return PowerLoadingResult(powers=powers.validate(p_max),
                               dual_cu=z[:num_cu], dual_cap=z[num_cu:],
                               kkt_residual=kkt, iterations_used=steps,

@@ -86,8 +86,9 @@ def d2d_to_cu_coefficients(gains, table, smap):
     as ``c[i, j, m] = h_jB * sum_k I(|k - m|)`` over CU i's subcarriers
     k; the table must be D2D-waveform -> OFDM."""
     kern = table.band_kernels(smap.num_rbs, smap.subcarriers_per_rb)
-    d = _offset_index(smap, smap.rb_of_cu[:, None], smap.rb_of_d2d[None, :])
-    return gains.h_d2d_bs[None, :, None] * kern.by_interferer[d]
+    d = _offset_index(smap, smap.rb_of_cu[..., :, None],
+                      smap.rb_of_d2d[..., None, :])
+    return gains.h_d2d_bs[..., None, :, None] * kern.by_interferer[d]
 
 
 def cu_sinr_all(gains, powers, tables, smap, noise_sc, d2d_kind):

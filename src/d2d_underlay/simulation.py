@@ -107,23 +107,21 @@ def rate_from_sinr(sinr, subcarrier_spacing):
     return subcarrier_spacing * np.log2(1.0 + np.asarray(sinr, dtype=float))
 
 
-def _case_columns(gains, block_map, solves, tables, config, kind):
-    """One case's per-case ``CampaignRecord`` columns over a block: the
-    predicted and actual rates, bit/s, each pair's rate summed over its
-    subcarriers and averaged over pairs, then each solve's status, Newton
-    steps and KKT residual.  A skipped snapshot's zero powers give it rates
-    of exactly 0."""
+def _case_columns(gains, smap, results, tables, config, kind):
+    """One case's per-case ``CampaignRecord`` columns over a block, whose
+    ``smap`` holds each snapshot's assignment: the predicted and actual
+    rates, bit/s, each pair's rate summed over its subcarriers and averaged
+    over pairs, then each solve's status, Newton steps and KKT residual.  A
+    skipped snapshot's zero powers give it rates of exactly 0."""
     powers = itf.PowerAllocation(
-        p_d2d=np.stack([res.powers.p_d2d for _, res in solves]),
+        p_d2d=np.stack([res.powers.p_d2d for res in results]),
         p_cu=itf.uniform_cu_powers(config))
-    smap = replace(
-        block_map, rb_of_d2d=np.stack([a.rb_of_pair for a, _ in solves]))
     actual, predicted = (
         rate_from_sinr(x, config.subcarrier_spacing).sum(axis=-1).mean(axis=-1)
         for x in itf.d2d_sinr_matrices(gains, powers, tables, smap,
                                        config.noise_per_subcarrier_w, kind))
     return [predicted, actual] + [
-        np.array([getattr(res, name) for _, res in solves])
+        np.array([getattr(res, name) for res in results])
         for name in ("status", "iterations_used", "kkt_residual")]
 
 
@@ -135,8 +133,9 @@ def run_iteration(config, tables, streams):
 
     Each snapshot draws its placement, its LOS uniforms and its CU map from
     its own generator.  Gains, cost matrices, SINR and rates are computed
-    for the whole block at once; the assignment and the power loading run
-    per snapshot and case, OFDM then FBMC.
+    for the whole block at once.  Each case runs its assignments and builds
+    its power-loading problems for the block, then the solves run per
+    snapshot and case, OFDM then FBMC, each on its slice of the problems.
     """
     rngs = [np.random.default_rng(stream) for stream in streams]
     placements = [geo.sample_placement(config, rng) for rng in rngs]
@@ -151,25 +150,32 @@ def run_iteration(config, tables, streams):
     block_map = itf.SpectrumMap(
         rb_of_cu=np.stack([m.rb_of_cu for m in maps]), num_rbs=config.num_rbs,
         subcarriers_per_rb=config.subcarriers_per_rb)
-    costs = [itf.cu_to_d2d_cost_matrix(
-        gains, zero, tables[(WaveformType.OFDM, case.waveform)], block_map)
-        for case in Case]
 
-    solves = [[] for _ in Case]     # [case][snapshot] -> (assignment, result)
+    assignments, case_maps, problems = [], [], []    # one entry per case
+    for case in Case:
+        cost = itf.cu_to_d2d_cost_matrix(
+            gains, zero, tables[(WaveformType.OFDM, case.waveform)], block_map)
+        assignments.append([al.hungarian(c) for c in cost])
+        case_maps.append(replace(block_map, rb_of_d2d=np.stack(
+            [a.rb_of_pair for a in assignments[-1]])))
+        problems.append(list(zip(*al.loading_problems(
+            gains, tables, case_maps[-1], config, case.waveform))))
+    results = [[] for _ in Case]    # [case][snapshot]
     for k, smap in enumerate(maps):
         snapshot = gains[k]
-        for case, cost, done in zip(Case, costs, solves):
-            assignment = al.hungarian(cost[k])
-            done.append((assignment, al.power_loading(
-                assignment, snapshot, tables, smap, config, case.waveform)))
+        for case, assigned, problem, done in zip(Case, assignments, problems,
+                                                 results):
+            done.append(al.power_loading(assigned[k], snapshot, tables, smap,
+                                         config, case.waveform,
+                                         problem=problem[k]))
 
     radius, distance = np.array(
         [(p.cluster_radius, float(np.linalg.norm(p.cluster_centre)))
          if p.cluster_centre is not None else (np.nan, np.nan)
          for p in placements]).T
     columns = zip(*(
-        _case_columns(gains, block_map, done, tables, config, case.waveform)
-        for case, done in zip(Case, solves)))
+        _case_columns(gains, case_map, done, tables, config, case.waveform)
+        for case, case_map, done in zip(Case, case_maps, results)))
     return CampaignRecord(*(np.stack(c, axis=1) for c in columns),
                           radius, distance)
 

@@ -247,6 +247,58 @@ def test_power_loading_flags_infeasible_snapshot(tables):
     assert np.all(res.powers.p_d2d == 0)
 
 
+@pytest.mark.parametrize("layout", list(d.Layout))
+@pytest.mark.parametrize("num_pairs", [1, 5, 10, 13])
+def test_stacked_problems_equal_each_snapshot_alone(tables, layout,
+                                                    num_pairs):
+    """A block's stacked problems, built as a campaign builds them, hold in
+    each snapshot's slice the bits of the problem built for that snapshot
+    alone.  At a 47 dB CU floor the block holds skipped and solved
+    snapshots; a skipped one ends INFEASIBLE_SKIPPED with zero powers, and
+    a solved one as it does without the slice."""
+    cfg = d.with_updates(d.ScenarioConfig(), num_d2d_pairs=num_pairs,
+                         layout=layout, cu_min_sinr=47.0)
+    rngs = [np.random.default_rng(s) for s in
+            np.random.SeedSequence(1234).spawn(16)]
+    placements = [d.sample_placement(cfg, rng) for rng in rngs]
+    gains = d.gains_from_placement(d.NodePlacement(
+        *(np.stack([getattr(p, name) for p in placements])
+          for name in ("cu_pos", "d2d_tx_pos", "d2d_rx_pos"))), cfg, rngs)
+    maps = [d.random_cu_map(cfg, rng) for rng in rngs]
+    zero = itf.PowerAllocation(
+        p_d2d=np.zeros((num_pairs, cfg.subcarriers_per_rb)),
+        p_cu=d.uniform_cu_powers(cfg))
+    for kind in (OFDM, FBMC):
+        assignments = [al.hungarian(itf.cu_to_d2d_cost_matrix(
+            gains[k], zero, tables[(OFDM, kind)], smap))
+            for k, smap in enumerate(maps)]
+        block_map = itf.SpectrumMap(
+            rb_of_cu=np.stack([m.rb_of_cu for m in maps]),
+            num_rbs=cfg.num_rbs, subcarriers_per_rb=cfg.subcarriers_per_rb,
+            rb_of_d2d=np.stack([a.rb_of_pair for a in assignments]))
+        stacked = al.loading_problems(gains, tables, block_map, cfg, kind)
+        assert 0 < stacked[0].sum() < len(maps)
+        for k, (assignment, smap) in enumerate(zip(assignments, maps)):
+            problem = tuple(x[k] for x in stacked)
+            alone = al.loading_problems(
+                gains[k], tables, smap.with_assignment(assignment.rb_of_pair),
+                cfg, kind)
+            for got, want in zip(problem, alone):
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+            res = al.power_loading(assignment, gains[k], tables, smap, cfg,
+                                   kind, problem=problem)
+            if problem[0]:
+                assert res.status is al.SolverStatus.INFEASIBLE_SKIPPED
+                assert np.all(res.powers.p_d2d == 0)
+            else:
+                ref = al.power_loading(assignment, gains[k], tables, smap,
+                                       cfg, kind)
+                assert res.status is ref.status
+                assert res.powers.p_d2d.tobytes() == \
+                    ref.powers.p_d2d.tobytes()
+
+
 def test_kkt_residual_scores_unsolved_dual(tables, monkeypatch):
     """The start water-fills each pair against its heaviest row alone, so
     its primal still overloads some other row of A by more than 1; with no

@@ -389,8 +389,8 @@ def test_report_counts_max_iter_apart(tables, monkeypatch):
     solves = []
     power_loading = al.power_loading
 
-    def record(*args):
-        solves.append(power_loading(*args))
+    def record(*args, **kwargs):
+        solves.append(power_loading(*args, **kwargs))
         return solves[-1]
 
     monkeypatch.setattr(al, "power_loading", record)
@@ -544,8 +544,11 @@ def check_recorded_solve(args, result):
 def test_campaign_solve_contract(tables, monkeypatch, layout):
     """A campaign reaches the solver through the ``al.power_loading``
     attribute, once per snapshot and case, with the six arguments by
-    position.  Benchmark tracing wraps that attribute to see every solve,
-    so a pipeline that bypasses it must fail here first."""
+    position and one keyword, ``problem``, its slice of the block's
+    problems.  Benchmark tracing wraps that attribute to see every solve and
+    binds the six arguments by name, so a pipeline that bypasses it must
+    fail here first.  Each call, replayed from its six arguments alone,
+    must give the campaign's solve bit for bit."""
     calls = []
     power_loading = al.power_loading
 
@@ -560,9 +563,9 @@ def test_campaign_solve_contract(tables, monkeypatch, layout):
     assert len(calls) == 2 * cfg.iterations
     names = list(inspect.signature(power_loading).parameters)
     assert names == ["assignment", "gains", "tables", "smap", "config",
-                     "d2d_kind"]
+                     "d2d_kind", "problem"]
     for k, (args, kwargs, result) in enumerate(calls):
-        assert kwargs == {} and len(args) == len(names)
+        assert list(kwargs) == ["problem"] and len(args) == 6
         assignment, gains, tabs, smap, config, kind = args
         assert isinstance(assignment, al.Assignment)
         assert isinstance(gains, ch.ChannelGains)
@@ -572,4 +575,12 @@ def test_campaign_solve_contract(tables, monkeypatch, layout):
         assert kind is list(sim.Case)[k % 2].waveform
         assert isinstance(result, al.PowerLoadingResult)
         check_recorded_solve(args, result)
+        replay = power_loading(*args)
+        assert replay.status is result.status
+        assert replay.iterations_used == result.iterations_used
+        assert replay.kkt_residual == result.kkt_residual
+        for got, want in ((replay.powers.p_d2d, result.powers.p_d2d),
+                          (replay.dual_cu, result.dual_cu),
+                          (replay.dual_cap, result.dual_cap)):
+            assert got.tobytes() == want.tobytes()
     assert any(r.status is al.SolverStatus.OPTIMAL for _, _, r in calls)
