@@ -95,11 +95,9 @@ def _cmd_sweep(args):
     config = geo.load_config(args.config)
     parameter = sim.SweepParameter[args.parameter.upper()]
     try:
-        values = [float(v) for v in args.values.split(",") if v.strip()]
+        values = [float(v) for v in args.values.split(",")]
     except ValueError as exc:
         raise UsageError("bad --values: %s" % exc)
-    if not values:
-        raise UsageError("--values must list at least one value")
     sim.sweep_configs(config, parameter, values)
     out = _out_dir(args)
     tables = _build_tables()

@@ -257,6 +257,10 @@ def test_criterion_6_trend_suite(tables, report_line):
         return np.array([rep.summary[(case, "actual", "mean")]
                          for _, rep in points])
 
+    def advantage(points):
+        return (means(points, sim.Case.D2D_FBMC)
+                - means(points, sim.Case.D2D_OFDM))
+
     def trend(series, values, expected_sign):
         rho, p = stats.spearmanr(values, series)
         return np.sign(rho) == expected_sign and p < 0.05, rho, p
@@ -282,15 +286,15 @@ def test_criterion_6_trend_suite(tables, report_line):
                        (sim.Case.D2D_FBMC, "filter-bank")):
         checks.append(("rate up in cluster distance (%s)" % name,)
                       + trend(means(pts, case), values, +1))
+    checks.append(("filter-bank advantage up in cluster distance",)
+                  + trend(advantage(pts), values, +1))
 
     values = [40.0, 55.0, 70.0, 85.0, 100.0]
     pts = d.sweep(cfg, sim.SweepParameter.CLUSTER_RADIUS, values, tables,
                   jobs=2)
     records += [rep.record for _, rep in pts]
-    advantage = (means(pts, sim.Case.D2D_FBMC)
-                 - means(pts, sim.Case.D2D_OFDM))
     checks.append(("filter-bank advantage down in cluster radius",)
-                  + trend(advantage, values, -1))
+                  + trend(advantage(pts), values, -1))
 
     audited, audit = _audit(*records)
     elapsed = time.perf_counter() - t0

@@ -549,6 +549,9 @@ def test_non_integral_num_pairs_exits_4(capsys, config_path, fast_tables,
     ("num_pairs", "-3", cli.EXIT_INVARIANT),
     ("num_pairs", "9,abc", cli.EXIT_USAGE),
     ("num_pairs", " , ", cli.EXIT_USAGE),
+    ("num_pairs", "5,,9", cli.EXIT_USAGE),
+    ("num_pairs", "5,9,", cli.EXIT_USAGE),
+    ("num_pairs", ",5", cli.EXIT_USAGE),
     ("cluster_distance", "nan", cli.EXIT_INVARIANT),
     ("cluster_distance", "-5", cli.EXIT_INVARIANT),
     ("cluster_distance", "1e9", cli.EXIT_INVARIANT),

@@ -36,6 +36,13 @@ def rows(record, index):
                                 for f in dataclasses.fields(record)))
 
 
+def in_solve_order(column):
+    """A ``(snapshots, 2)`` record column as a list in the order its solves
+    run: block, then case, then snapshot."""
+    return [x for start in range(0, len(column), sim.BLOCK_SIZE)
+            for x in column[start:start + sim.BLOCK_SIZE].T.ravel().tolist()]
+
+
 def changed(a, b):
     """Per snapshot and case, whether any of its CASE_COLUMNS differs
     between records ``a`` and ``b``."""
@@ -383,9 +390,9 @@ def test_report_counts_max_iter_apart(tables, monkeypatch):
     """The record holds each solve's status, Newton steps and KKT residual,
     so a MAX_ITER solve is not mistaken for an OPTIMAL one.  With the Newton
     steps bounded at 5, this campaign (11 pairs, seed 951026653) ends some
-    solves OPTIMAL and some MAX_ITER; the columns, snapshot by snapshot in
-    ``Case`` order, must match what a recorder on ``al.power_loading``
-    sees."""
+    solves OPTIMAL and some MAX_ITER; the columns, in the order the solves
+    run (block, then case, then snapshot), must match what a recorder on
+    ``al.power_loading`` sees."""
     solves = []
     power_loading = al.power_loading
 
@@ -399,10 +406,10 @@ def test_report_counts_max_iter_apart(tables, monkeypatch):
                          seed=951026653, iterations=8)
     record = d.run_campaign(cfg, tables).record
     assert len(solves) == 2 * cfg.iterations
-    assert record.status.ravel().tolist() == [s.status for s in solves]
-    assert record.newton_steps.ravel().tolist() == \
+    assert in_solve_order(record.status) == [s.status for s in solves]
+    assert in_solve_order(record.newton_steps) == \
         [s.iterations_used for s in solves]
-    assert record.kkt_residual.ravel().tolist() == \
+    assert in_solve_order(record.kkt_residual) == \
         [s.kkt_residual for s in solves]
     assert al.SolverStatus.OPTIMAL in record.status
     assert al.SolverStatus.MAX_ITER in record.status
@@ -547,8 +554,11 @@ def test_campaign_solve_contract(tables, monkeypatch, layout):
     position and one keyword, ``problem``, its slice of the block's
     problems.  Benchmark tracing wraps that attribute to see every solve and
     binds the six arguments by name, so a pipeline that bypasses it must
-    fail here first.  Each call, replayed from its six arguments alone,
-    must give the campaign's solve bit for bit."""
+    fail here first.  The 20 snapshots make a block of 16 and one of 4, and
+    the calls run block, then case, then snapshot: each call must carry the
+    snapshot and case that a campaign of that snapshot alone gives.  Each
+    call, replayed from its six arguments alone, must give the campaign's
+    solve bit for bit."""
     calls = []
     power_loading = al.power_loading
 
@@ -558,13 +568,17 @@ def test_campaign_solve_contract(tables, monkeypatch, layout):
         return result
 
     monkeypatch.setattr(al, "power_loading", record)
-    cfg = d.with_updates(d.ScenarioConfig(), iterations=5, layout=layout)
+    cfg = d.with_updates(d.ScenarioConfig(), iterations=20, layout=layout)
+    for stream in np.random.SeedSequence(cfg.seed).spawn(cfg.iterations):
+        sim.run_iteration(cfg, tables, [stream])
+    alone, calls[:] = calls[:], []    # snapshot i, case c at 2 i + c
     d.run_campaign(cfg, tables)
-    assert len(calls) == 2 * cfg.iterations
+    assert len(calls) == len(alone) == 2 * cfg.iterations
+    order = in_solve_order(np.arange(len(alone)).reshape(-1, len(sim.Case)))
     names = list(inspect.signature(power_loading).parameters)
     assert names == ["assignment", "gains", "tables", "smap", "config",
                      "d2d_kind", "problem"]
-    for k, (args, kwargs, result) in enumerate(calls):
+    for k, (args, kwargs, result) in zip(order, calls):
         assert list(kwargs) == ["problem"] and len(args) == 6
         assignment, gains, tabs, smap, config, kind = args
         assert isinstance(assignment, al.Assignment)
@@ -573,6 +587,11 @@ def test_campaign_solve_contract(tables, monkeypatch, layout):
         assert isinstance(smap, itf.SpectrumMap)
         assert config == cfg
         assert kind is list(sim.Case)[k % 2].waveform
+        solo, solo_gains, _, solo_smap, _, _ = alone[k][0]
+        assert np.array_equal(assignment.rb_of_pair, solo.rb_of_pair)
+        assert np.array_equal(smap.rb_of_cu, solo_smap.rb_of_cu)
+        for name, value in vars(gains).items():
+            assert np.array_equal(value, getattr(solo_gains, name))
         assert isinstance(result, al.PowerLoadingResult)
         check_recorded_solve(args, result)
         replay = power_loading(*args)
