@@ -36,7 +36,8 @@ class ScenarioConfig:
     """Full description of one simulation scenario.
 
     Distances in metres, frequencies in Hz, powers in dBm, SINR in dB.
-    Defaults follow an LTE-like 500 m inter-site-distance macro cell.
+    Defaults follow an LTE-like 500 m inter-site-distance macro cell.  A
+    fixed cluster radius is cluster_radius_min == cluster_radius_max.
     """
 
     cell_radius: float = 250.0
@@ -48,7 +49,6 @@ class ScenarioConfig:
     layout: Layout = Layout.CLUSTERED
     cluster_radius_min: float = 50.0
     cluster_radius_max: float = 100.0
-    cluster_radius_fixed: float | None = None
     cluster_distance_fixed: float | None = None
     d2d_max_link_factor: float = 2.0 / 3.0
     cu_min_sinr: float = 10.0
@@ -82,9 +82,9 @@ class ScenarioConfig:
                 "(%r)" % (self.cluster_radius_min, self.cluster_radius_max))
         for name in ("cell_radius", "carrier_freq", "subcarrier_spacing",
                      "cluster_radius_min", "cluster_radius_max",
-                     "d2d_max_link_factor", "cluster_radius_fixed"):
+                     "d2d_max_link_factor"):
             value = getattr(self, name)
-            if value is not None and value <= 0:
+            if value <= 0:
                 raise ConfigurationError("%s must be positive, got %r"
                                          % (name, value))
         for name, low in (("num_rbs", 1), ("subcarriers_per_rb", 1),
@@ -103,17 +103,14 @@ class ScenarioConfig:
                 "cluster_distance_fixed (%r) places a cluster, but layout is "
                 "NON_CLUSTERED" % self.cluster_distance_fixed)
         if self.layout is Layout.CLUSTERED:
-            radius = self.cluster_radius_bound
+            radius = self.cluster_radius_max
             distance = self.cluster_distance_fixed
             if radius + (distance or 0.0) > self.cell_radius:
-                which = ("cluster_radius_max" if self.cluster_radius_fixed is None
-                         else "cluster_radius_fixed")
                 where = ("" if distance is None else
                          " at distance %.1f m (cluster_distance_fixed)" % distance)
                 raise ConfigurationError(
-                    "cluster of radius %.1f m (%s)%s does not fit in "
-                    "cell_radius %.1f m" % (radius, which, where,
-                                            self.cell_radius))
+                    "cluster of radius %.1f m (cluster_radius_max)%s does not "
+                    "fit in cell_radius %.1f m" % (radius, where, self.cell_radius))
 
     @property
     def num_cus(self):
@@ -135,12 +132,6 @@ class ScenarioConfig:
     @property
     def cu_tx_power_w(self):
         return db_to_linear(self.cu_tx_power - 30.0)
-
-    @property
-    def cluster_radius_bound(self):
-        """The fixed cluster radius, else the top of the random range."""
-        return (self.cluster_radius_max if self.cluster_radius_fixed is None
-                else self.cluster_radius_fixed)
 
 
 @dataclass
@@ -191,17 +182,17 @@ def _draw_receivers(rng, tx, max_link, cell_radius):
 
 
 def sample_placement(config, rng):
-    """Draw one topology.  A cluster's radius is fixed or uniform in
-    [cluster_radius_min, cluster_radius_max]; its centre is uniform over the
-    disc that keeps it in the cell, or at the fixed distance from the BS at
-    a uniform angle (``ScenarioConfig`` checks that either fits).  Both
-    layouts then draw CUs, transmitters and receivers alike."""
+    """Draw one topology.  A cluster's radius is uniform in
+    [cluster_radius_min, cluster_radius_max], with no draw taken when the
+    two are equal; its centre is uniform over the disc that keeps it in the
+    cell, or at the fixed distance from the BS at a uniform angle
+    (``ScenarioConfig`` checks that either fits).  Both layouts then draw
+    CUs, transmitters and receivers alike."""
     centre = radius = None
     if config.layout is Layout.CLUSTERED:
-        radius = config.cluster_radius_fixed
-        if radius is None:
-            radius = rng.uniform(config.cluster_radius_min,
-                                 config.cluster_radius_max)
+        radius = config.cluster_radius_min
+        if radius < config.cluster_radius_max:
+            radius = rng.uniform(radius, config.cluster_radius_max)
         if config.cluster_distance_fixed is None:
             centre = _uniform_disc(rng, config.cell_radius - radius, 1)[0]
         else:
@@ -214,7 +205,7 @@ def sample_placement(config, rng):
     else:
         tx = _uniform_disc(rng, radius, centre=centre, size=config.num_d2d_pairs)
     max_link = config.d2d_max_link_factor * (
-        config.cluster_radius_bound if radius is None else radius)
+        config.cluster_radius_max if radius is None else radius)
     rx = _draw_receivers(rng, tx, max_link, config.cell_radius)
     return NodePlacement(cu_pos=cu_pos, d2d_tx_pos=tx, d2d_rx_pos=rx,
                          cluster_centre=centre, cluster_radius=radius)

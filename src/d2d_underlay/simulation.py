@@ -241,7 +241,8 @@ def sweep_configs(config, parameter, values):
                     raise ConfigurationError("num_pairs must be an integer")
                 update = {"num_d2d_pairs": int(value)}
             elif parameter is SweepParameter.CLUSTER_RADIUS:
-                update = {"cluster_radius_fixed": float(value)}
+                update = {"cluster_radius_min": float(value),
+                          "cluster_radius_max": float(value)}
             else:
                 update = {"cluster_distance_fixed": float(value)}
             cfg = geo.with_updates(config, seed=config.seed + 7919 * idx,

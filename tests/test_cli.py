@@ -2,6 +2,7 @@ import contextlib
 import importlib
 import io
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -449,8 +450,6 @@ OUT_OF_RANGE = st.one_of(
     _float_field("cluster_radius_min", min_value=100.0, exclude_min=True),
     _float_field("cluster_radius_max", max_value=50.0, exclude_max=True),
     _float_field("cluster_radius_max", min_value=250.0, exclude_min=True),
-    _float_field("cluster_radius_fixed", max_value=0.0),
-    _float_field("cluster_radius_fixed", min_value=250.0, exclude_min=True),
     _float_field("cluster_distance_fixed", max_value=0.0, exclude_max=True),
     _float_field("cluster_distance_fixed", min_value=150.0, exclude_min=True),
     _float_field("d2d_max_link_factor", max_value=0.0),
@@ -487,14 +486,30 @@ def test_out_of_range_config_value_names_its_field(field_value):
     assert repr(value) in lines[0] or "%.1f" % value in lines[0]
 
 
-def test_num_cus_config_key_exits_4(capsys, tmp_path):
-    """``num_cus`` follows ``num_rbs`` (one CU per RB) and is not a key."""
+@pytest.mark.parametrize("line", ["num_cus = 15", "cluster_radius_fixed = 70"],
+                         ids=lambda line: line.split()[0])
+def test_not_a_config_key_exits_4(line, capsys, tmp_path):
+    """``num_cus`` follows ``num_rbs`` (one CU per RB), and a fixed cluster
+    radius is ``cluster_radius_min == cluster_radius_max``: neither is a
+    key."""
+    key = line.split()[0]
     path = tmp_path / "c.cfg"
-    path.write_text("num_cus = 15\n")
+    path.write_text(line + "\n")
     code, out, err = _run(capsys, ["validate", "--config", str(path)])
     assert code == cli.EXIT_INVARIANT
     assert out == ""
-    assert "unknown key 'num_cus'" in err
+    assert "unknown key %r" % key in err
+
+
+def test_readme_example_config_validates(capsys, tmp_path):
+    """README's ``ini`` example is a valid config: it names no removed key."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    [example] = re.findall(r"```ini\n(.*?)```", readme, re.S)
+    path = tmp_path / "scenario.cfg"
+    path.write_text(example)
+    code, _, err = _run(capsys, ["validate", "--config", str(path)])
+    assert code == cli.EXIT_OK
+    assert err == ""
 
 
 def test_sweep_invariant_exits_4(capsys, config_path, fast_tables, tmp_path):

@@ -51,7 +51,8 @@ def test_config_rejects_non_finite_floats(name, value):
 
 
 def test_fixed_radius_containment(rng):
-    cfg = d.with_updates(d.ScenarioConfig(), cluster_radius_fixed=70.0)
+    cfg = d.with_updates(d.ScenarioConfig(), cluster_radius_min=70.0,
+                         cluster_radius_max=70.0)
     for _ in range(50):
         p = d.sample_placement(cfg, rng)
         assert p.cluster_radius == 70.0
@@ -61,19 +62,22 @@ def test_fixed_radius_containment(rng):
 
 def test_cluster_radius_exceeding_cell_rejected(rng):
     with pytest.raises(d.ConfigurationError):
-        cfg = d.with_updates(d.ScenarioConfig(), cluster_radius_fixed=251.0)
+        cfg = d.with_updates(d.ScenarioConfig(), cluster_radius_min=251.0,
+                             cluster_radius_max=251.0)
         d.sample_placement(cfg, rng)
 
 
 def test_config_rejects_cluster_beyond_cell():
     base = d.ScenarioConfig()
     with pytest.raises(d.ConfigurationError, match="radius 300.0 m"):
-        d.with_updates(base, cluster_radius_fixed=300.0)
+        d.with_updates(base, cluster_radius_min=300.0,
+                       cluster_radius_max=300.0)
     with pytest.raises(d.ConfigurationError, match="distance 200.0 m"):
-        d.with_updates(base, cluster_radius_fixed=60.0,
+        d.with_updates(base, cluster_radius_min=60.0, cluster_radius_max=60.0,
                        cluster_distance_fixed=200.0)
-    d.with_updates(base, cluster_radius_fixed=60.0, cluster_distance_fixed=190.0)
-    # with no fixed radius the largest random radius must fit
+    d.with_updates(base, cluster_radius_min=60.0, cluster_radius_max=60.0,
+                   cluster_distance_fixed=190.0)
+    # with a radius range the largest radius must fit
     with pytest.raises(d.ConfigurationError, match="radius 300.0 m"):
         d.with_updates(base, cluster_radius_max=300.0)
     with pytest.raises(d.ConfigurationError, match="distance 160.0 m"):
@@ -81,7 +85,7 @@ def test_config_rejects_cluster_beyond_cell():
     d.with_updates(base, cluster_distance_fixed=150.0)
     # without a cluster the radius only sets the longest D2D link
     d.with_updates(base, layout=geo.Layout.NON_CLUSTERED,
-                   cluster_radius_fixed=300.0)
+                   cluster_radius_min=300.0, cluster_radius_max=300.0)
 
 
 def test_cu_positions_area_uniform(rng):
@@ -96,7 +100,8 @@ def test_cu_positions_area_uniform(rng):
 
 
 def test_placement_at_distance(rng):
-    cfg = d.with_updates(d.ScenarioConfig(), cluster_radius_fixed=70.0)
+    cfg = d.with_updates(d.ScenarioConfig(), cluster_radius_min=70.0,
+                         cluster_radius_max=70.0)
     p = d.sample_placement(d.with_updates(cfg, cluster_distance_fixed=0.0), rng)
     assert np.linalg.norm(p.cluster_centre) == pytest.approx(0.0, abs=1e-12)
     p = d.sample_placement(d.with_updates(cfg, cluster_distance_fixed=180.0),
@@ -107,8 +112,8 @@ def test_placement_at_distance(rng):
 
 
 def test_fixed_distance_via_config(rng):
-    cfg = d.with_updates(d.ScenarioConfig(), cluster_radius_fixed=70.0,
-                         cluster_distance_fixed=100.0)
+    cfg = d.with_updates(d.ScenarioConfig(), cluster_radius_min=70.0,
+                         cluster_radius_max=70.0, cluster_distance_fixed=100.0)
     p = d.sample_placement(cfg, rng)
     assert np.linalg.norm(p.cluster_centre) == pytest.approx(100.0)
 
@@ -138,7 +143,7 @@ def test_containment_invariants(layout, rng):
         else:
             assert np.all(np.linalg.norm(p.d2d_tx_pos - p.d2d_rx_pos, axis=1)
                           <= cfg.d2d_max_link_factor
-                          * cfg.cluster_radius_bound + 1e-9)
+                          * cfg.cluster_radius_max + 1e-9)
 
 
 def test_cluster_radius_range(rng):
@@ -149,7 +154,8 @@ def test_cluster_radius_range(rng):
 
 
 def test_config_file_round_trip(tmp_path):
-    cfg = d.with_updates(d.ScenarioConfig(), cluster_radius_fixed=70.0,
+    cfg = d.with_updates(d.ScenarioConfig(), cluster_radius_min=70.0,
+                         cluster_radius_max=70.0,
                          layout=geo.Layout.NON_CLUSTERED, seed=42)
     path = tmp_path / "c.cfg"
     d.save_config(cfg, path)
@@ -164,8 +170,6 @@ def scenario_configs(draw):
     positive = st.floats(min_value=1e-3, max_value=1e6)
     cell = draw(positive)
     r_max = draw(st.floats(min_value=1e-3, max_value=cell))
-    r_fixed = draw(st.none() | st.floats(min_value=1e-3, max_value=cell))
-    radius = r_max if r_fixed is None else r_fixed
     num_rbs = draw(st.integers(1, 64))
     values = dict(
         cell_radius=cell, carrier_freq=draw(positive),
@@ -174,9 +178,9 @@ def scenario_configs(draw):
         num_d2d_pairs=draw(st.integers(1, num_rbs)),
         layout=draw(st.sampled_from(geo.Layout)),
         cluster_radius_min=draw(st.floats(min_value=1e-3, max_value=r_max)),
-        cluster_radius_max=r_max, cluster_radius_fixed=r_fixed,
+        cluster_radius_max=r_max,
         cluster_distance_fixed=draw(
-            st.none() | st.floats(min_value=0.0, max_value=cell - radius)),
+            st.none() | st.floats(min_value=0.0, max_value=cell - r_max)),
         d2d_max_link_factor=draw(positive), cu_min_sinr=draw(db),
         noise_per_subcarrier=draw(db), max_tx_power=draw(db),
         cu_tx_power=draw(db), iterations=draw(st.integers(1, 10 ** 9)),
@@ -261,13 +265,15 @@ STREAM_CONFIGS = {
     "clustered": {},
     "non_clustered": dict(layout=geo.Layout.NON_CLUSTERED),
     # a cluster touching the cell edge: candidates leave the cell
-    "cell_edge": dict(cluster_distance_fixed=150.0, cluster_radius_fixed=100.0),
+    "cell_edge": dict(cluster_distance_fixed=150.0, cluster_radius_min=100.0,
+                      cluster_radius_max=100.0),
     # a link cap of 2.67 m never clears the 3 m floor: every pair falls back
-    "fallback": dict(layout=geo.Layout.NON_CLUSTERED, cluster_radius_fixed=4.0),
+    "fallback": dict(layout=geo.Layout.NON_CLUSTERED, cluster_radius_min=4.0,
+                     cluster_radius_max=4.0),
     # a link cap of 3.07 m clears it once in 46 draws: pairs take many
     # tries, and a few run out of them
     "near_floor": dict(layout=geo.Layout.NON_CLUSTERED,
-                       cluster_radius_fixed=4.6),
+                       cluster_radius_min=4.6, cluster_radius_max=4.6),
 }
 # rejections the oracle must meet over the 20 placements of seed 1
 STREAM_REJECTIONS = {"clustered": {"floor"}, "non_clustered": {"floor"},

@@ -1,7 +1,8 @@
 """Output bytes of every command, pinned by SHA-256.
 
 Small ``run``s (clustered and non-clustered, 30 snapshots), a
-``sweep --parameter num_pairs --values 5,9`` and ``tables`` go through
+``sweep --parameter num_pairs --values 5,9``, a
+``sweep --parameter cluster_radius --values 60,90`` and ``tables`` go through
 ``cli.main``, table build included; every file they write must hash to the
 digest recorded in ``data/golden_sha256.json``.
 
@@ -30,6 +31,10 @@ COMMANDS = {
     "sweep_num_pairs": lambda cfg, out: ["sweep", "--config", cfg["clustered"],
                                          "--parameter", "num_pairs",
                                          "--values", "5,9", "--out", out],
+    "sweep_cluster_radius": lambda cfg, out: ["sweep", "--config",
+                                              cfg["clustered"], "--parameter",
+                                              "cluster_radius", "--values",
+                                              "60,90", "--out", out],
     "tables_time": lambda cfg, out: ["tables", "--out", out],
 }
 

@@ -547,8 +547,10 @@ def check_recorded_solve(args, result):
     assert np.all(sinr >= 10 ** (config.cu_min_sinr / 10) * (1 - 1e-9))
 
 
-@pytest.mark.parametrize("layout", list(d.Layout))
-def test_campaign_solve_contract(tables, monkeypatch, layout):
+@pytest.mark.parametrize("layout, cu_min_sinr", [
+    *(pytest.param(layout, 10.0, id=str(layout)) for layout in d.Layout),
+    *(pytest.param(layout, 47.0, id="%s-47dB" % layout) for layout in d.Layout)])
+def test_campaign_solve_contract(tables, monkeypatch, layout, cu_min_sinr):
     """A campaign reaches the solver through the ``al.power_loading``
     attribute, once per snapshot and case, with the six arguments by
     position and one keyword, ``problem``, its slice of the block's
@@ -558,7 +560,8 @@ def test_campaign_solve_contract(tables, monkeypatch, layout):
     the calls run block, then case, then snapshot: each call must carry the
     snapshot and case that a campaign of that snapshot alone gives.  Each
     call, replayed from its six arguments alone, must give the campaign's
-    solve bit for bit."""
+    solve bit for bit.  At a CU floor of 10 dB no snapshot is skipped; at
+    47 dB most are, so both branches of ``check_recorded_solve`` run."""
     calls = []
     power_loading = al.power_loading
 
@@ -568,7 +571,8 @@ def test_campaign_solve_contract(tables, monkeypatch, layout):
         return result
 
     monkeypatch.setattr(al, "power_loading", record)
-    cfg = d.with_updates(d.ScenarioConfig(), iterations=20, layout=layout)
+    cfg = d.with_updates(d.ScenarioConfig(), iterations=20, layout=layout,
+                         cu_min_sinr=cu_min_sinr)
     for stream in np.random.SeedSequence(cfg.seed).spawn(cfg.iterations):
         sim.run_iteration(cfg, tables, [stream])
     alone, calls[:] = calls[:], []    # snapshot i, case c at 2 i + c
@@ -602,4 +606,7 @@ def test_campaign_solve_contract(tables, monkeypatch, layout):
                           (replay.dual_cu, result.dual_cu),
                           (replay.dual_cap, result.dual_cap)):
             assert got.tobytes() == want.tobytes()
-    assert any(r.status is al.SolverStatus.OPTIMAL for _, _, r in calls)
+    statuses = [r.status for _, _, r in calls]
+    assert al.SolverStatus.OPTIMAL in statuses
+    assert ((al.SolverStatus.INFEASIBLE_SKIPPED in statuses)
+            is (cu_min_sinr == 47.0))
